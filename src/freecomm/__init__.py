@@ -61,7 +61,6 @@ from .stallings import (
     witness_expresser,
 )
 from .commensurator import (
-    CommClass,
     NoExtension,
     PartialIso,
     apply,

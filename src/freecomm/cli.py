@@ -6,8 +6,9 @@ the words module.  A path argument of "-" reads the document from
 stdin, so commands compose in shell pipelines.
 
 Exit codes: 0 for success (and for predicates that answer true), 1 for
-a false predicate or a failed scenario check, 2 for usage errors and
-malformed documents.
+a false predicate, a failed scenario check or a standard output closed
+before the answer was written, 2 for usage errors and malformed
+documents.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -43,6 +45,7 @@ from .scenarios import (
     report_to_document,
 )
 from .stallings import (
+    VERTEX_CAP_ENV,
     Subgroup,
     from_generators,
     graph_from_document,
@@ -54,6 +57,7 @@ from .stallings import (
     kernel_mod_p,
     subgroup_from_document,
     subindex,
+    vertex_cap,
 )
 from .words import parse_word, word_to_text
 
@@ -105,6 +109,20 @@ def _check_prime(p: int) -> int:
     return p
 
 
+def _check_modulus(p: int) -> int:
+    """A prime whose kernel graph, of p vertices, fits under the vertex cap.
+
+    The cap goes first, since trial division of a huge p would not end.
+    """
+    cap = vertex_cap()
+    if p > cap:
+        raise _CliError(
+            f"modulus {p} exceeds the vertex cap ({cap}); raise {VERTEX_CAP_ENV} "
+            f"to allow larger graphs"
+        )
+    return _check_prime(p)
+
+
 def _parse_words(texts: Sequence[str], rank: int):
     return [parse_word(t, rank=rank) for t in texts]
 
@@ -130,7 +148,7 @@ def _cmd_subgroup(args) -> int:
     if op == "kernel":
         rank = _check_rank(args.rank)
         weights = _parse_weights(args.weights)
-        h = kernel_mod_p(rank, weights, _check_prime(args.p))
+        h = kernel_mod_p(rank, weights, _check_modulus(args.p))
         _emit(graph_to_document(h.graph))
         return 0
     if op == "index":
@@ -220,11 +238,11 @@ def _cmd_paper(args) -> int:
     op = args.op
     try:
         if op == "kernel-swap":
-            report = kernel_swap(_check_rank(args.rank), _check_prime(args.prime))
+            report = kernel_swap(_check_rank(args.rank), _check_modulus(args.prime))
         elif op == "twist":
             rank = _check_rank(args.rank)
             b = parse_word(args.b, rank=rank) if args.b is not None else None
-            report = free_product_twist(rank, _check_prime(args.prime), b)
+            report = free_product_twist(rank, _check_modulus(args.prime), b)
         elif op == "bs":
             report = bs_report(args.k, _check_prime(args.p), args.samples, args.seed)
         elif op == "hnn":
@@ -362,7 +380,16 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early.  Point stdout at devnull so that the flush
+        # at exit cannot fail again (the "Note on SIGPIPE" in the Python
+        # signal documentation).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from typing import Optional, Sequence, Union
 from .errors import DocumentError, InvalidIsoError, NotInSubgroupError, RankMismatchError
 from .stallings import (
     Subgroup,
+    _is_int,
     from_generators,
     graph_from_document,
     graph_to_document,
@@ -50,7 +51,6 @@ from .words import (
 )
 
 __all__ = [
-    "CommClass",
     "NoExtension",
     "PartialIso",
     "apply",
@@ -255,22 +255,6 @@ def equivalent_bruteforce(alpha: PartialIso, beta: PartialIso, max_index: int) -
         if all(apply(alpha, b) == apply(beta, b) for b in h.basis.elements):
             return True
     return False
-
-
-@dataclass(frozen=True)
-class CommClass:
-    """A commensurator element: a partial isomorphism up to equivalence."""
-
-    representative: PartialIso
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CommClass):
-            return NotImplemented
-        return equivalent(self.representative, other.representative)
-
-    def __hash__(self) -> int:
-        # classes admit no cheap canonical form; hash only the ambient rank
-        return hash(("CommClass", self.representative.rank))
 
 
 def restrict(phi: PartialIso, k: Subgroup) -> PartialIso:
@@ -507,7 +491,7 @@ def iso_from_document(doc) -> PartialIso:
         if field not in doc:
             raise DocumentError(f"iso document missing field {field!r}")
     rank = doc["rank"]
-    if not isinstance(rank, int) or rank < 1:
+    if not _is_int(rank) or rank < 1:
         raise DocumentError(f"rank must be a positive integer, got {rank!r}")
     domain = Subgroup(graph_from_document(doc["domain"]))
     codomain = Subgroup(graph_from_document(doc["codomain"]))

@@ -687,17 +687,6 @@ def join(h: Subgroup, k: Subgroup) -> Subgroup:
     return _make_subgroup(rank, base, edges)
 
 
-def _join_word(h: Subgroup, w: Word) -> Subgroup:
-    """Join with the cyclic subgroup generated by one word."""
-    fg = _FoldGraph(h.rank)
-    ids = [fg.new_vertex() for _ in range(h.graph.num_vertices)]
-    for u, l, v in h.graph.edges:
-        fg.add_edge(ids[u], l, ids[v])
-    fg.add_loop(ids[0], w)
-    base, edges = fg.folded_edges(ids[0])
-    return _make_subgroup(h.rank, base, edges)
-
-
 def conjugate_subgroup(h: Subgroup, g: Word) -> Subgroup:
     """The subgroup g⁻¹·H·g."""
     if max_generator(g) > h.rank:
@@ -754,28 +743,63 @@ def rewrite_over_basis(h: Subgroup, k: Subgroup) -> Subgroup:
     return from_generators(m, [h.express_in_basis(b) for b in k.basis.elements])
 
 
+def _block_systems(graph: CoreGraph) -> dict:
+    """Every block system of the coset action of a finite-index subgroup.
+
+    Label l permutes the n cosets (vertices) by v -> out[v][l].  Maps the
+    block of the base coset 0 to the labelling of all cosets by the least
+    member of their block.  coarsen(P, v) is the finest system coarser than P
+    with 0 ~ v, by union-find closure (Atkinson, Math. Comp. 1975); forward
+    images suffice as each label is a bijection of a finite set.  Joining
+    each system found with one coset of each other class reaches every
+    system, since a block is the union of the minimal blocks of its members.
+    """
+    if not graph.is_cover():
+        raise InfiniteIndexError("block systems need finite index")
+    n = graph.num_vertices
+    perms = [[graph.out[v][l] for v in range(n)] for l in range(1, graph.rank + 1)]
+
+    def coarsen(labels, v):
+        parent = list(labels)
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        pairs = [(0, v)]
+        while pairs:
+            x, y = pairs.pop()
+            x, y = find(x), find(y)
+            if x != y:
+                parent[max(x, y)] = min(x, y)
+                pairs.extend((s[x], s[y]) for s in perms)
+        labels = tuple(map(find, range(n)))
+        return frozenset(x for x in range(n) if labels[x] == 0), labels
+
+    systems = {frozenset([0]): tuple(range(n))}
+    queue = list(systems.values())
+    for labels in queue:  # grows while it is read
+        for v in set(labels) - {0}:
+            block, joined = coarsen(labels, v)
+            if block not in systems:
+                systems[block] = joined
+                queue.append(joined)
+    return systems
+
+
 def overgroups(h: Subgroup) -> list[Subgroup]:
     """All subgroups between H and the whole group (H has finite index).
 
-    Every overgroup is generated by H together with the coset
-    representatives it contains, so closing the single-representative
-    joins under pairwise joins enumerates the full (finite) interval.
+    They are the stabilizers of the blocks containing the base coset, one
+    per block system of the coset action; the core graph of each is the
+    quotient of H's cover by the system's classes.
     """
-    reps = h.coset_representatives()
-    members = {h}
-    todo = deque()
-    for w in reps:
-        j = _join_word(h, w)
-        if j not in members:
-            members.add(j)
-            todo.append(j)
-    while todo:
-        a = todo.popleft()
-        for b in list(members):
-            j = join(a, b)
-            if j not in members:
-                members.add(j)
-                todo.append(j)
+    g = h.graph
+    members = [
+        _make_subgroup(g.rank, 0, {(labels[u], l, labels[v]) for u, l, v in g.edges})
+        for labels in _block_systems(g).values()
+    ]
     return sorted(members, key=lambda s: (s.index(), s.graph.edges))
 
 
@@ -783,40 +807,16 @@ def subindex(h: Subgroup) -> int:
     """Smallest n admitting a chain from H to the whole group with all
     relative indices <= n.
 
-    Computed as a minimax path weight over the overgroup interval, which
-    suffices because any chain can be intersected down into it.
+    A minimax path weight over the overgroup interval, which suffices
+    because any chain can be intersected down into it.  Overgroups are the
+    blocks B of the base coset, K <= K' is B <= B' and [K' : K] = |B'|/|B|,
+    so one pass in order of size settles each block from the smaller ones.
     """
-    import heapq
-
-    if not h.graph.is_cover():
-        raise InfiniteIndexError("subindex needs finite index")
-    rose = whole_group(h.rank)
-    if h == rose:
-        return 1
-    lattice = overgroups(h)
-    idx = {s: s.index() for s in lattice}
-    best = {h: 1}
-    heap = [(1, 0, h)]
-    counter = 1
-    while heap:
-        d, _, u = heapq.heappop(heap)
-        if u == rose:
-            return d
-        if d > best.get(u, math.inf):
-            continue
-        for v in lattice:
-            if v is u or idx[v] >= idx[u]:
-                continue
-            if idx[u] % idx[v] != 0:
-                continue
-            if not all(v.contains(b) for b in u.basis.elements):
-                continue
-            nd = max(d, idx[u] // idx[v])
-            if nd < best.get(v, math.inf):
-                best[v] = nd
-                heapq.heappush(heap, (nd, counter, v))
-                counter += 1
-    raise RuntimeError("overgroup search never reached the whole group")
+    blocks = sorted(_block_systems(h.graph), key=len)
+    best = [1]
+    for b in blocks[1:]:
+        best.append(min(max(d, len(b) // len(a)) for a, d in zip(blocks, best) if a < b))
+    return best[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -830,6 +830,11 @@ def graph_to_document(g: CoreGraph) -> dict:
         "basepoint": g.basepoint,
         "edges": [[u, v, l] for u, l, v in g.edges],
     }
+
+
+def _is_int(x) -> bool:
+    """An int and not a bool: JSON true and false load as bools, which are ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def graph_from_document(doc) -> CoreGraph:
@@ -847,9 +852,9 @@ def graph_from_document(doc) -> CoreGraph:
         rows = doc["edges"]
     except (KeyError, TypeError) as exc:
         raise DocumentError(f"graph document missing field: {exc}") from exc
-    if not isinstance(rank, int) or rank < 1:
+    if not _is_int(rank) or rank < 1:
         raise DocumentError(f"rank must be a positive integer, got {rank!r}")
-    if not isinstance(basepoint, int) or basepoint < 0:
+    if not _is_int(basepoint) or basepoint < 0:
         raise DocumentError(f"basepoint must be a non-negative integer, got {basepoint!r}")
     if not isinstance(rows, list):
         raise DocumentError("edges must be a list of [source, target, label] rows")
@@ -858,7 +863,7 @@ def graph_from_document(doc) -> CoreGraph:
         if (
             not isinstance(row, list)
             or len(row) != 3
-            or not all(isinstance(x, int) for x in row)
+            or not all(_is_int(x) for x in row)
         ):
             raise DocumentError(f"bad edge row {row!r}: expected [source, target, label]")
         s, t, l = row

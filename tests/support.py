@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import random
 from typing import Sequence
 
@@ -11,11 +12,14 @@ from freecomm import (
     Word,
     apply_hom,
     embed_aut,
+    from_generators,
     generator,
     intersect,
+    join,
     kernel_mod_p,
     restrict,
     subgroup_from_document,
+    whole_group,
 )
 
 
@@ -143,3 +147,40 @@ def random_tiny_domain(rng: random.Random, rank: int) -> Subgroup:
 def random_tiny_iso(rng: random.Random, rank: int) -> PartialIso:
     aut = embed_aut(random_aut_images(rng, rank, num_moves=2))
     return restrict(aut, random_tiny_domain(rng, rank))
+
+
+def lattice_by_joins(h: Subgroup) -> tuple[list[Subgroup], int]:
+    """Reference overgroups and subindex of a finite-index H, by folding.
+
+    Every overgroup is generated by H and the coset representatives it
+    contains, so the joins of H with each representative, closed under
+    pairwise joins, are the whole interval.  The subindex is a minimax
+    path over it, with containment tested on bases.  Slow, and independent
+    of the block systems of the coset action that the library enumerates.
+    """
+    members = {join(h, from_generators(h.rank, [w])) for w in h.coset_representatives()}
+    members.add(h)
+    todo = list(members)
+    for a in todo:  # grows while it is read
+        for b in list(members):
+            j = join(a, b)
+            if j not in members:
+                members.add(j)
+                todo.append(j)
+    lattice = sorted(members, key=lambda s: (s.index(), s.graph.edges))
+    whole = whole_group(h.rank)
+    best = {h: 1}
+    heap = [(1, 0, h)]
+    while heap:
+        d, _, u = heapq.heappop(heap)
+        if u == whole:
+            return lattice, d
+        if d > best[u]:
+            continue
+        for i, v in enumerate(lattice):
+            if v.index() < u.index() and all(v.contains(b) for b in u.basis.elements):
+                nd = max(d, u.index() // v.index())
+                if nd < best.get(v, nd + 1):
+                    best[v] = nd
+                    heapq.heappush(heap, (nd, i, v))
+    raise AssertionError("the minimax search never reached the whole group")

@@ -2,10 +2,17 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
+import freecomm
 from freecomm import (
     graph_to_document,
+    identity_iso,
+    iso_to_document,
     kernel_mod_p,
     parse_word,
     whole_group,
@@ -291,6 +298,52 @@ def test_malformed_documents_name_the_invariant(tmp_path):
     assert code == 2
     code, _, err = invoke("subgroup", "index", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+def test_boolean_document_fields_exit_2(tmp_path):
+    graph = write_doc(tmp_path / "g.json", {"rank": True, "basepoint": 0, "edges": [[0, 0, True]]})
+    code, out, err = invoke("subgroup", "index", graph)
+    assert (code, out) == (2, "")
+    assert "rank" in err
+    doc = iso_to_document(identity_iso(whole_group(1)))
+    iso = write_doc(tmp_path / "i.json", {**doc, "rank": True})
+    code, out, err = invoke("iso", "invert", iso)
+    assert (code, out) == (2, "")
+    assert "rank" in err
+
+
+def test_modulus_is_checked_against_the_cap_first():
+    huge = "1000000000000000003"
+    for argv in (
+        ("subgroup", "kernel", "--rank", "2", "--weights", "1,0", "--p", huge),
+        ("paper", "kernel-swap", "--rank", "2", "--prime", huge),
+        ("paper", "twist", "--rank", "2", "--prime", huge),
+    ):
+        start = time.perf_counter()
+        code, out, err = invoke(*argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert "vertex cap (10000)" in err
+
+
+def test_closed_stdout_exits_quietly():
+    # the document (about 0.5 MB) outgrows the pipe buffer, so the writer
+    # is still writing when the reader closes its end
+    src = os.path.dirname(os.path.dirname(freecomm.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = ["subgroup", "kernel", "--rank", "2", "--weights", "1,0", "--p", "4999"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "freecomm.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=30) == 1
+    assert err == b""
 
 
 def test_kernel_rejects_trivial_weights():

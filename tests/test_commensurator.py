@@ -442,6 +442,13 @@ def test_iso_document_rejects_garbage():
             iso_from_document(broken)
 
 
+def test_iso_document_rejects_boolean_rank():
+    doc = iso_to_document(identity_iso(whole_group(1)))
+    assert iso_from_document(doc).rank == 1
+    with pytest.raises(DocumentError):
+        iso_from_document({**doc, "rank": True})
+
+
 def test_nielsen_products_embed_faithfully():
     ident = (parse_word("a"), parse_word("b"))
     flip = (parse_word("b"), parse_word("a"))

@@ -395,6 +395,19 @@ def test_document_rejects_bad_shapes():
             graph_from_document(doc)
 
 
+def test_document_rejects_booleans():
+    good = {"rank": 1, "basepoint": 0, "edges": [[0, 0, 1]]}
+    assert graph_from_document(good) == whole_group(1).graph
+    for field, value in (("rank", True), ("basepoint", False)):
+        with pytest.raises(DocumentError):
+            graph_from_document({**good, field: value})
+    for i, value in enumerate((False, False, True)):
+        row = [0, 0, 1]
+        row[i] = value
+        with pytest.raises(DocumentError):
+            graph_from_document({**good, "edges": [row]})
+
+
 def test_dot_export_marks_basepoint():
     dot = graph_to_dot(kernel_mod_p(2, (1, 0), 2).graph)
     assert dot.startswith("digraph")
