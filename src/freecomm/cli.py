@@ -38,6 +38,7 @@ from .commensurator import (
 )
 from .errors import FreecommError
 from .scenarios import (
+    _is_prime,
     bs_report,
     free_product_twist,
     hnn_report,
@@ -103,16 +104,11 @@ def _check_rank(rank: int) -> int:
     return rank
 
 
-def _check_prime(p: int) -> int:
-    if p < 2 or any(p % d == 0 for d in range(2, int(math.isqrt(p)) + 1)):
-        raise _CliError(f"--prime expects a prime, got {p}")
-    return p
-
-
 def _check_modulus(p: int) -> int:
-    """A prime whose kernel graph, of p vertices, fits under the vertex cap.
+    """A prime whose p cosets (kernel graph vertices, or BS(1,k) cosets
+    enumerated by bs_image_index) fit under the vertex cap.
 
-    The cap goes first, since trial division of a huge p would not end.
+    The cap goes first: it bounds the work that the modulus asks for.
     """
     cap = vertex_cap()
     if p > cap:
@@ -120,7 +116,9 @@ def _check_modulus(p: int) -> int:
             f"modulus {p} exceeds the vertex cap ({cap}); raise {VERTEX_CAP_ENV} "
             f"to allow larger graphs"
         )
-    return _check_prime(p)
+    if not _is_prime(p):
+        raise _CliError(f"--prime expects a prime, got {p}")
+    return p
 
 
 def _parse_words(texts: Sequence[str], rank: int):
@@ -244,7 +242,7 @@ def _cmd_paper(args) -> int:
             b = parse_word(args.b, rank=rank) if args.b is not None else None
             report = free_product_twist(rank, _check_modulus(args.prime), b)
         elif op == "bs":
-            report = bs_report(args.k, _check_prime(args.p), args.samples, args.seed)
+            report = bs_report(args.k, _check_modulus(args.p), args.samples, args.seed)
         elif op == "hnn":
             report = hnn_report(args.n, args.bound)
         else:

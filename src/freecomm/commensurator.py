@@ -17,6 +17,7 @@ isomorphism.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce as _functools_reduce
 from typing import Optional, Sequence, Union
@@ -116,8 +117,6 @@ def make_iso(domain: Subgroup, codomain: Subgroup, images: Sequence[Word]) -> Pa
         raise RankMismatchError(
             f"mixed ambient ranks {domain.rank} and {codomain.rank}"
         )
-    import math
-
     if domain.index() is math.inf or codomain.index() is math.inf:
         raise InvalidIsoError("domain and codomain must have finite index")
     images = tuple(Word(w) for w in images)
@@ -309,8 +308,6 @@ def compute_extension(phi: PartialIso) -> Union[tuple[Word, ...], NoExtension]:
     extension exists.  Returns the generator images of the unique
     extension, or a NoExtension certificate.
     """
-    import math
-
     if phi.domain.index() is math.inf or phi.codomain.index() is math.inf:
         raise InvalidIsoError("extension analysis needs finite index on both sides")
     rank = phi.rank
@@ -424,8 +421,6 @@ def transfer_to_subgroup(alpha: PartialIso, h: Subgroup) -> PartialIso:
     are rewritten over the canonical basis of H, whose letters are the
     generators of the new ambient free group.
     """
-    import math
-
     if h.rank != alpha.rank:
         raise RankMismatchError(f"mixed ambient ranks {h.rank} and {alpha.rank}")
     if h.index() is math.inf:

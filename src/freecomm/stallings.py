@@ -10,8 +10,9 @@ subgroups are equal exactly when their graphs compare equal.
 
 Finite index corresponds to the graph being a cover (every vertex has
 exactly one edge per label in each direction); the index is then the
-vertex count.  Graph constructions fail fast once they would exceed a
-configurable vertex cap (FREECOMM_INDEX_CAP, default 10 000).
+vertex count.  Graph constructions fail fast once the graph they build
+would exceed a configurable vertex cap (FREECOMM_INDEX_CAP, default
+10 000); folding counts the live vertices of the folded graph.
 
 Folding optionally carries witness words: each vertex and edge remembers
 how it was reached as a product of the input generators, which yields,
@@ -241,10 +242,12 @@ def canonical_form(graph: CoreGraph) -> CoreGraph:
 
 
 class _FoldGraph:
-    def __init__(self, rank: int, witness: bool = False, cap: Optional[int] = None):
+    def __init__(self, rank: int, op: str, witness: bool = False):
         self.rank = rank
+        self.op = op  # named by the vertex cap error
         self.witness = witness
-        self.cap = vertex_cap() if cap is None else cap
+        self.cap = vertex_cap()
+        self.live = 0  # union-find roots, the vertices of the folded graph
         self.parent: list[int] = []
         self.pot: list[Optional[Word]] = []
         self.out: list[dict] = []  # per root: label -> (target id, witness)
@@ -253,18 +256,24 @@ class _FoldGraph:
 
     # -- union-find with potentials
 
-    def new_vertex(self) -> int:
-        if len(self.parent) >= self.cap:
+    def _grow(self, count: int) -> int:
+        """Allocate count fresh root vertices; returns the first id."""
+        if self.live + count > self.cap:
             raise IndexCapError(
-                f"construction exceeded the vertex cap ({self.cap}); "
-                f"raise {VERTEX_CAP_ENV} to allow larger graphs"
+                f"{self.op}: the folded graph would exceed the vertex cap ({self.cap}) "
+                f"with {self.live + count} live vertices ({len(self.parent) + count} "
+                f"allocated); raise {VERTEX_CAP_ENV} to allow larger graphs"
             )
-        v = len(self.parent)
-        self.parent.append(v)
-        self.pot.append(EPSILON if self.witness else None)
-        self.out.append({})
-        self.inc.append({})
-        return v
+        first = len(self.parent)
+        self.live += count
+        self.parent.extend(range(first, first + count))
+        self.pot.extend([EPSILON if self.witness else None] * count)
+        self.out.extend({} for _ in range(count))
+        self.inc.extend({} for _ in range(count))
+        return first
+
+    def new_vertex(self) -> int:
+        return self._grow(1)
 
     def find(self, x: int) -> int:
         root = x
@@ -383,6 +392,7 @@ class _FoldGraph:
             t_id, a = entry
             requeue.append(("e", sr, l, t_id, a))
         self.parent[xr] = yr
+        self.live -= 1
         if self.witness:
             self.pot[xr] = g
         self.pending.extend(requeue)
@@ -390,23 +400,84 @@ class _FoldGraph:
     # -- building blocks
 
     def add_loop(self, base: int, w: Word, seed: Optional[Word] = None) -> None:
-        """Attach a petal spelling w at base; its witness is seed."""
-        if not w:
+        """Attach a petal spelling w at base; its witness is seed.
+
+        Reads before it writes: w is traced forward from base and its
+        inverse backward from base, each up to a missing edge, and only
+        the unread middle gets fresh vertices.  The middle folds with
+        nothing, as each trace stopped at a free slot, unless its two ends
+        are one vertex and its first and last letters are inverse.  When
+        the traces meet, their two ends are merged instead.  Folding is confluent, so the result is the graph
+        that attaching the whole petal and folding it would give.
+        """
+        n = len(w)
+        if not n:
             return
-        pos = base
-        for i, a in enumerate(w):
-            last = i == len(w) - 1
-            nxt = base if last else self.new_vertex()
-            aux: Optional[Word] = None
-            if self.witness:
-                aux = seed if i == 0 else EPSILON
-                if aux is None:
-                    aux = EPSILON
+        parent, out, inc = self.parent, self.out, self.inc
+        if self.witness:
+            acc_f: list[int] = []  # base frame -> root frame of u
+            acc_b: list[int] = []  # base frame -> root frame of v, along w backward
+            u, i = self._walk(base, w, acc_f)
+            v, read = self._walk(base, (-a for a in reversed(w[i:])), acc_b)
+            j = n - read
+            # the middle runs from u's root frame to v's, so the petal reads seed
+            mid = Word([-a for a in reversed(acc_f)] + list(seed) + acc_b)
+        else:
+            u = self.find(base)
+            i = 0
+            for a in w:
+                if a > 0:
+                    e = out[u].get(a)
+                    if e is None:
+                        break
+                    t = e[0]
+                else:
+                    t = inc[u].get(-a)
+                    if t is None:
+                        break
+                u = t if parent[t] == t else self.find(t)
+                i += 1
+            v = self.find(base)
+            j = n
+            while j > i:
+                a = w[j - 1]
+                if a > 0:
+                    t = inc[v].get(a)
+                    if t is None:
+                        break
+                else:
+                    e = out[v].get(-a)
+                    if e is None:
+                        break
+                    t = e[0]
+                v = t if parent[t] == t else self.find(t)
+                j -= 1
+            mid = None
+        if i == j:
+            if u != v:
+                self.pending.append(("m", u, v, mid))
+                self._drain()
+            return
+        first = self._grow(j - i - 1)
+        pos = u
+        for k in range(i, j - 1):
+            a = w[k]
+            nxt = first + k - i
+            aux = (mid if k == i else EPSILON) if self.witness else None
             if a > 0:
-                self.add_edge(pos, a, nxt, aux)
+                out[pos][a] = (nxt, aux)
+                inc[nxt][a] = pos
             else:
-                self.add_edge(nxt, -a, pos, invert(aux) if self.witness else None)
+                out[nxt][-a] = (pos, invert(aux) if self.witness else None)
+                inc[pos][-a] = nxt
             pos = nxt
+        # the last edge goes through the folder, for that one case
+        a = w[j - 1]
+        aux = (mid if j - i == 1 else EPSILON) if self.witness else None
+        if a > 0:
+            self.add_edge(pos, a, v, aux)
+        else:
+            self.add_edge(v, -a, pos, invert(aux) if self.witness else None)
 
     def folded_edges(self, base: int) -> tuple[int, set]:
         roots = [v for v in range(len(self.parent)) if self.find(v) == v]
@@ -418,21 +489,20 @@ class _FoldGraph:
 
     # -- witness tracing
 
-    def express(self, base: int, w: Word) -> Optional[Word]:
-        """A word over the generator alphabet mapping onto w, or None.
+    def _walk(self, pos: int, letters: Iterable[int], acc: list) -> tuple[int, int]:
+        """Follow letters from pos until an edge is missing (witness mode).
 
-        Requires witness mode.  Returns None when w is not in the
-        subgroup the folded graph represents.
+        Returns the root reached and the number of letters read; acc gets
+        the witness from pos's frame to that root's frame, unreduced.
         """
-        pos = base
-        acc: list[int] = []
-        for a in w:
+        read = 0
+        for a in letters:
             r, pp = self.find_pot(pos)
             l = abs(a)
             if a > 0:
                 entry = self.out[r].get(l)
                 if entry is None:
-                    return None
+                    break
                 t_id, ea = entry
                 acc.extend(pp)
                 acc.extend(ea)
@@ -440,7 +510,7 @@ class _FoldGraph:
             else:
                 s_id = self.inc[r].get(l)
                 if s_id is None:
-                    return None
+                    break
                 sr, _ = self.find_pot(s_id)
                 t_id, ea = self.out[sr][l]
                 _, pt = self.find_pot(t_id)
@@ -448,15 +518,27 @@ class _FoldGraph:
                 acc.extend(pp)
                 acc.extend(invert(concat(ea, pt)))
                 pos = sr
-        er, pe = self.find_pot(pos)
+            read += 1
+        r, pp = self.find_pot(pos)
+        acc.extend(pp)
+        return r, read
+
+    def express(self, base: int, w: Word) -> Optional[Word]:
+        """A word over the generator alphabet mapping onto w, or None.
+
+        Requires witness mode.  Returns None when w is not in the
+        subgroup the folded graph represents.
+        """
+        acc: list[int] = []
+        end, read = self._walk(base, w, acc)
         br, pb = self.find_pot(base)
-        if er != br:
+        if read < len(w) or end != br:
             return None
-        return concat(concat(Word(acc), pe), invert(pb))
+        return concat(Word(acc), invert(pb))
 
 
 def _build_bouquet(rank: int, gens: Sequence[Word], witness: bool) -> _FoldGraph:
-    fg = _FoldGraph(rank, witness=witness)
+    fg = _FoldGraph(rank, "witness_expresser" if witness else "from_generators", witness)
     base = fg.new_vertex()
     for i, g in enumerate(gens):
         if max_generator(g) > rank:
@@ -536,27 +618,21 @@ class Subgroup:
         return parents, tuple(paths), frozenset(tree_edges)
 
     @cached_property
+    def _basis_index(self) -> dict:
+        """Each edge off the spanning tree, in sorted order, to its basis position."""
+        _, _, tree_edges = self._tree
+        off_tree = [e for e in sorted(self.graph.edges) if e not in tree_edges]
+        return {e: i for i, e in enumerate(off_tree)}
+
+    @cached_property
     def basis(self) -> Basis:
         """Canonical free basis; its size is the rank of the subgroup."""
         _, paths, tree_edges = self._tree
-        elements = []
-        for u, l, v in sorted(self.graph.edges):
-            if (u, l, v) in tree_edges:
-                continue
-            elements.append(Word(tuple(paths[u]) + (l,) + tuple(invert(paths[v]))))
-        return Basis(elements=tuple(elements), tree_edges=tree_edges)
-
-    @cached_property
-    def _basis_index(self) -> dict:
-        _, paths, tree_edges = self._tree
-        table = {}
-        i = 0
-        for u, l, v in sorted(self.graph.edges):
-            if (u, l, v) in tree_edges:
-                continue
-            table[(u, l, v)] = i
-            i += 1
-        return table
+        elements = tuple(
+            Word(tuple(paths[u]) + (l,) + tuple(invert(paths[v])))
+            for u, l, v in self._basis_index
+        )
+        return Basis(elements=elements, tree_edges=tree_edges)
 
     def express_in_basis(self, w: Word) -> Word:
         """Rewrite w (which must lie in this subgroup) over the canonical basis.
@@ -674,7 +750,7 @@ def intersect(h: Subgroup, k: Subgroup) -> Subgroup:
 def join(h: Subgroup, k: Subgroup) -> Subgroup:
     """Smallest subgroup containing both: wedge the graphs and fold."""
     rank = _require_same_rank(h, k)
-    fg = _FoldGraph(rank)
+    fg = _FoldGraph(rank, "join")
     ids_h = [fg.new_vertex() for _ in range(h.graph.num_vertices)]
     ids_k = [
         ids_h[0] if v == 0 else fg.new_vertex() for v in range(k.graph.num_vertices)
@@ -796,8 +872,9 @@ def overgroups(h: Subgroup) -> list[Subgroup]:
     quotient of H's cover by the system's classes.
     """
     g = h.graph
+    # a quotient of a cover is a cover, so _core would prune nothing
     members = [
-        _make_subgroup(g.rank, 0, {(labels[u], l, labels[v]) for u, l, v in g.edges})
+        Subgroup(_canonical(g.rank, 0, {(labels[u], l, labels[v]) for u, l, v in g.edges}))
         for labels in _block_systems(g).values()
     ]
     return sorted(members, key=lambda s: (s.index(), s.graph.edges))

@@ -62,7 +62,7 @@ class Word(tuple):
         return tuple.__new__(cls, stack)
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(tuple.__add__(self, tuple(other)))
+        return concat(self, other)
 
     def __pow__(self, n: int) -> "Word":
         return power(self, n)
@@ -100,13 +100,28 @@ def max_generator(w: Sequence[int]) -> int:
 
 
 def concat(u: Word, v: Word) -> Word:
-    """Product u·v, freely reduced."""
-    return Word(tuple(u) + tuple(v))
+    """Product u·v, freely reduced.
+
+    Two Words are reduced already, so only the seam can cancel; any other
+    input takes the validating path.
+    """
+    if not (isinstance(u, Word) and isinstance(v, Word)):
+        return Word(tuple(u) + tuple(v))
+    if not u:
+        return v
+    if not v:
+        return u
+    k = 0
+    m = min(len(u), len(v))
+    while k < m and u[-1 - k] == -v[k]:
+        k += 1
+    return tuple.__new__(Word, u[: len(u) - k] + v[k:])
 
 
 def invert(w: Word) -> Word:
     """Inverse word: reversed letters with flipped signs."""
-    return Word(tuple(-a for a in reversed(w)))
+    letters = [-a for a in reversed(w)]
+    return tuple.__new__(Word, letters) if isinstance(w, Word) else Word(letters)
 
 
 def cyclic_split(w: Word) -> tuple[Word, Word]:

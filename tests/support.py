@@ -7,6 +7,7 @@ import random
 from typing import Sequence
 
 from freecomm import (
+    EPSILON,
     PartialIso,
     Subgroup,
     Word,
@@ -15,12 +16,14 @@ from freecomm import (
     from_generators,
     generator,
     intersect,
+    invert,
     join,
     kernel_mod_p,
     restrict,
     subgroup_from_document,
     whole_group,
 )
+from freecomm.stallings import _FoldGraph, _make_subgroup
 
 
 def random_word(rng: random.Random, rank: int, max_len: int = 8) -> Word:
@@ -184,3 +187,36 @@ def lattice_by_joins(h: Subgroup) -> tuple[list[Subgroup], int]:
                     best[v] = nd
                     heapq.heappush(heap, (nd, i, v))
     raise AssertionError("the minimax search never reached the whole group")
+
+
+def _fold_letter_by_letter(rank: int, gens: Sequence[Word], witness: bool) -> _FoldGraph:
+    """Reference bouquet fold: one fresh vertex per letter, folded edge by edge.
+
+    This is how the library folded before it read each generator against
+    the graph built so far; generator i carries the witness Word((i + 1,)).
+    """
+    fg = _FoldGraph(rank, "letter-by-letter reference", witness)
+    base = fg.new_vertex()
+    for i, w in enumerate(gens):
+        pos = base
+        for k, a in enumerate(w):
+            nxt = base if k == len(w) - 1 else fg.new_vertex()
+            aux = (Word((i + 1,)) if k == 0 else EPSILON) if witness else None
+            if a > 0:
+                fg.add_edge(pos, a, nxt, aux)
+            else:
+                fg.add_edge(nxt, -a, pos, invert(aux) if witness else None)
+            pos = nxt
+    return fg
+
+
+def from_generators_by_letters(rank: int, gens: Sequence[Word]) -> Subgroup:
+    """Reference from_generators over the letter-by-letter fold."""
+    base, edges = _fold_letter_by_letter(rank, gens, False).folded_edges(0)
+    return _make_subgroup(rank, base, edges)
+
+
+def expresser_by_letters(rank: int, gens: Sequence[Word]):
+    """Reference witness_expresser over the letter-by-letter fold."""
+    fg = _fold_letter_by_letter(rank, gens, True)
+    return lambda w: fg.express(0, w)

@@ -326,6 +326,18 @@ def test_modulus_is_checked_against_the_cap_first():
         assert "vertex cap (10000)" in err
 
 
+def test_bs_modulus_is_checked_against_the_cap():
+    # bs_image_index walks all p cosets, so a prime past the cap is refused
+    start = time.perf_counter()
+    code, out, err = invoke("paper", "bs", "--k", "2", "--p", "1000000000000000003")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "vertex cap (10000)" in err
+    code, out, _ = invoke("paper", "bs", "--k", "2", "--p", "9973", "--samples", "5")
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+
+
 def test_closed_stdout_exits_quietly():
     # the document (about 0.5 MB) outgrows the pipe buffer, so the writer
     # is still writing when the reader closes its end

@@ -225,3 +225,17 @@ def test_report_document_serializes_bs_values():
     assert "denom_exp" in text
     reloaded = json.loads(text)
     assert reloaded["ok"] is True
+
+
+def test_prime_test_matches_trial_division():
+    from freecomm.scenarios import _is_prime
+
+    for n in range(-3, 5000):
+        expected = n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+        assert _is_prime(n) == expected
+    # strong pseudoprimes to the first 4, 11 and 12 prime bases
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n)
+    assert _is_prime(10 ** 18 + 3) and _is_prime(2 ** 61 - 1)
+    with pytest.raises(ValueError, match="too large"):
+        _is_prime(2 ** 89 - 1)

@@ -69,6 +69,27 @@ def test_invert_power_conjugate_examples():
     assert conjugate(parse_word("b"), parse_word("a")) == parse_word("Aba")
 
 
+@given(words3, words3)
+def test_word_fast_paths_match_full_reduction(u, v):
+    # concat of two Words cancels only at the seam, invert skips reduction
+    for result, full in (
+        (concat(u, v), Word(tuple(u) + tuple(v))),
+        (u * v, Word(tuple(u) + tuple(v))),
+        (invert(u), Word(-a for a in reversed(u))),
+    ):
+        assert type(result) is Word
+        assert tuple(result) == tuple(full)
+    assert concat(tuple(u), tuple(v)) == concat(u, v)
+
+
+def test_unreduced_inputs_take_the_validating_path():
+    with pytest.raises(WordError):
+        concat((1,), (0,))
+    with pytest.raises(WordError):
+        invert((1, 0))
+    assert concat((1, 2), (-2, -1)) == EPSILON
+
+
 @given(words2)
 def test_invert_involution(w):
     assert invert(invert(w)) == w
