@@ -22,9 +22,17 @@ from dataclasses import dataclass
 from functools import reduce as _functools_reduce
 from typing import Optional, Sequence, Union
 
-from .errors import DocumentError, InvalidIsoError, NotInSubgroupError, RankMismatchError
+from .errors import (
+    DocumentError,
+    IndexCapError,
+    InvalidIsoError,
+    NotInSubgroupError,
+    RankMismatchError,
+)
 from .stallings import (
+    VERTEX_CAP_ENV,
     Subgroup,
+    _canonical,
     _is_int,
     from_generators,
     graph_from_document,
@@ -35,6 +43,7 @@ from .stallings import (
     kernel_mod_p,
     rewrite_over_basis,
     subindex,
+    vertex_cap,
     whole_group,
     witness_expresser,
 )
@@ -82,8 +91,10 @@ class PartialIso:
     """An isomorphism between two finite-index subgroups.
 
     images[i] is the image of the i-th canonical basis element of the
-    domain, written in the ambient generators.  Instances are built
-    through make_iso, which validates the invariants.
+    domain, written in the ambient generators.  Instances are built by
+    make_iso (and embed_aut, iso_from_document), which validate their
+    input at the boundary, and by _iso inside the library, where the
+    images are correct by construction.
     """
 
     domain: Subgroup
@@ -134,17 +145,40 @@ def make_iso(domain: Subgroup, codomain: Subgroup, images: Sequence[Word]) -> Pa
     folded = from_generators(domain.rank, images)
     if folded != codomain:
         raise InvalidIsoError("images generate a proper subgroup of the codomain")
-    if len(dom_basis) != len(codomain.basis.elements):
+    _require_equal_rank(len(dom_basis), codomain)
+    return PartialIso(domain=domain, codomain=codomain, images=images)
+
+
+def _require_equal_rank(m: int, codomain: Subgroup) -> None:
+    r = len(codomain.basis.elements)
+    if m != r:
         raise InvalidIsoError(
-            f"rank drop: domain has rank {len(dom_basis)} but codomain has "
-            f"rank {len(codomain.basis.elements)}; the map cannot be injective"
+            f"rank drop: domain has rank {m} but codomain has rank {r}; "
+            "the map cannot be injective"
         )
+
+
+def _iso(
+    domain: Subgroup, images: Sequence[Word], codomain: Optional[Subgroup] = None
+) -> PartialIso:
+    """A PartialIso built inside the library, correct by construction.
+
+    The caller guarantees that both sides have finite index and that the
+    codomain, when given, is the subgroup the images generate; otherwise
+    the images are folded once.  The map onto the codomain is then an
+    isomorphism exactly when the ranks agree (free groups are hopfian),
+    so that is the one check.
+    """
+    images = tuple(images)
+    if codomain is None:
+        codomain = from_generators(domain.rank, images)
+    _require_equal_rank(len(images), codomain)
     return PartialIso(domain=domain, codomain=codomain, images=images)
 
 
 def identity_iso(h: Subgroup) -> PartialIso:
     """The identity map of a finite-index subgroup."""
-    return make_iso(h, h, h.basis.elements)
+    return _iso(h, h.basis.elements, h)
 
 
 def apply(phi: PartialIso, w: Word) -> Word:
@@ -157,6 +191,40 @@ def image_subgroup(phi: PartialIso, k: Subgroup) -> Subgroup:
     return from_generators(phi.rank, [apply(phi, b) for b in k.basis.elements])
 
 
+def _pull_back(alpha: PartialIso, k: Subgroup) -> Subgroup:
+    """The preimage under alpha of a finite-index subgroup K of its codomain.
+
+    The domain acts on the cosets of K through alpha: crossing the i-th
+    edge off the domain's spanning tree moves a coset along image i, and
+    a tree edge leaves it in place.  The preimage is the stabilizer of K,
+    so its graph is the component of (basepoint, K) in the product of the
+    domain's graph with that action.  Both are covers, hence so is the
+    product: it is folded, and outgoing edges alone reach all of it.
+    """
+    g, kg, index = alpha.domain.graph, k.graph, alpha.domain._basis_index
+    cap = vertex_cap()
+    seen = {(0, 0): 0}
+    queue = [(0, 0)]
+    edges = []
+    for v, c in queue:  # grows while it is read
+        pid = seen[v, c]
+        for l, w in g.out[v].items():
+            i = index.get((v, l, w))
+            pair = (w, c if i is None else kg.trace(c, alpha.images[i]))
+            nid = seen.get(pair)
+            if nid is None:
+                if len(seen) >= cap:
+                    raise IndexCapError(
+                        f"pull-back: the preimage of an index-{k.index()} subgroup in an "
+                        f"index-{g.num_vertices} domain would exceed the vertex cap ({cap}); "
+                        f"raise {VERTEX_CAP_ENV} to allow larger graphs"
+                    )
+                nid = seen[pair] = len(seen)
+                queue.append(pair)
+            edges.append((pid, l, nid))
+    return Subgroup(_canonical(alpha.rank, 0, edges))
+
+
 def invert_iso(phi: PartialIso) -> PartialIso:
     """The inverse map, with basis images recovered by witness folding."""
     express = witness_expresser(phi.rank, phi.images)
@@ -165,7 +233,7 @@ def invert_iso(phi: PartialIso) -> PartialIso:
         expr = express(c)
         assert expr is not None, "codomain basis element missed the image fold"
         preimages.append(apply_hom(phi.domain.basis.elements, expr))
-    return make_iso(phi.codomain, phi.domain, preimages)
+    return _iso(phi.codomain, preimages, phi.domain)
 
 
 def compose(alpha: PartialIso, beta: PartialIso) -> PartialIso:
@@ -176,11 +244,8 @@ def compose(alpha: PartialIso, beta: PartialIso) -> PartialIso:
     """
     if alpha.rank != beta.rank:
         raise RankMismatchError(f"mixed ambient ranks {alpha.rank} and {beta.rank}")
-    mid = intersect(alpha.codomain, beta.domain)
-    dom = image_subgroup(invert_iso(alpha), mid)
-    images = [apply(beta, apply(alpha, b)) for b in dom.basis.elements]
-    cod = from_generators(alpha.rank, images)
-    return make_iso(dom, cod, images)
+    dom = _pull_back(alpha, intersect(alpha.codomain, beta.domain))
+    return _iso(dom, [apply(beta, apply(alpha, b)) for b in dom.basis.elements])
 
 
 def compose_many(isos: Sequence[PartialIso]) -> PartialIso:
@@ -266,9 +331,7 @@ def restrict(phi: PartialIso, k: Subgroup) -> PartialIso:
                 f"restriction target is not contained in the domain "
                 f"({word_to_text(b)!r} escapes)"
             )
-    images = [apply(phi, b) for b in k.basis.elements]
-    cod = from_generators(phi.rank, images)
-    return make_iso(k, cod, images)
+    return _iso(k, [apply(phi, b) for b in k.basis.elements])
 
 
 def embed_aut(images: Sequence[Word]) -> PartialIso:
@@ -290,7 +353,7 @@ def embed_aut(images: Sequence[Word]) -> PartialIso:
         raise InvalidIsoError(
             "images do not generate the whole group, so this is not an automorphism"
         )
-    return make_iso(rose, rose, images)
+    return _iso(rose, images, rose)
 
 
 def is_identity_class(phi: PartialIso) -> bool:
@@ -410,8 +473,7 @@ def extend_pair(phi1: PartialIso, phi2: PartialIso) -> PartialIso:
         assert rep is not None, "join element escaped the reachable cosets"
         tail = concat(invert(rep), w)
         images.append(concat(apply(phi1, rep), apply(phi2, tail)))
-    cod = from_generators(phi1.rank, images)
-    return make_iso(j, cod, images)
+    return _iso(j, images)
 
 
 def transfer_to_subgroup(alpha: PartialIso, h: Subgroup) -> PartialIso:
@@ -426,15 +488,11 @@ def transfer_to_subgroup(alpha: PartialIso, h: Subgroup) -> PartialIso:
     if h.index() is math.inf:
         raise InvalidIsoError("transfer needs a finite-index subgroup")
     h_basis = h.basis.elements
-    pre = image_subgroup(invert_iso(alpha), intersect(alpha.codomain, h))
-    dom_ambient = intersect(pre, h)
-    dom = rewrite_over_basis(h, dom_ambient)
-    images = []
-    for c in dom.basis.elements:
-        ambient = apply_hom(h_basis, c)
-        images.append(h.express_in_basis(apply(alpha, ambient)))
-    cod = from_generators(len(h_basis), images)
-    return make_iso(dom, cod, images)
+    dom = rewrite_over_basis(h, intersect(_pull_back(alpha, intersect(alpha.codomain, h)), h))
+    images = [
+        h.express_in_basis(apply(alpha, apply_hom(h_basis, c))) for c in dom.basis.elements
+    ]
+    return _iso(dom, images)
 
 
 def transfer_to_overgroup(beta: PartialIso, h: Subgroup) -> PartialIso:
@@ -455,8 +513,7 @@ def transfer_to_overgroup(beta: PartialIso, h: Subgroup) -> PartialIso:
     for b in dom.basis.elements:
         d = h.express_in_basis(b)
         images.append(apply_hom(h_basis, apply(beta, d)))
-    cod = from_generators(h.rank, images)
-    return make_iso(dom, cod, images)
+    return _iso(dom, images)
 
 
 def subindex_of_iso(alpha: PartialIso) -> int:

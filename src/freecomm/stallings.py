@@ -151,9 +151,11 @@ class CoreGraph:
 def _bfs(rank: int, base, out: dict, inc: dict):
     """Canonical BFS from the basepoint.
 
-    Scans labels in increasing order, outgoing before incoming.  Returns
-    (numbering, visit sequence, parents) where parents[v] = (parent,
-    label, direction) describes the discovering tree edge.
+    Scans labels in increasing order, outgoing before incoming.  Only
+    labels present at the vertex are scanned when there are fewer of
+    them than the rank, so a sparse graph of huge rank costs its edges.
+    Returns (numbering, visit sequence, parents) where parents[v] =
+    (parent, label, direction) describes the discovering tree edge.
     """
     number = {base: 0}
     seq = [base]
@@ -164,7 +166,11 @@ def _bfs(rank: int, base, out: dict, inc: dict):
         i += 1
         ov = out.get(v, {})
         iv = inc.get(v, {})
-        for l in range(1, rank + 1):
+        if len(ov) + len(iv) < rank:
+            labels = sorted(ov.keys() | iv.keys())
+        else:
+            labels = range(1, rank + 1)
+        for l in labels:
             w = ov.get(l)
             if w is not None and w not in number:
                 number[w] = len(seq)
@@ -608,10 +614,11 @@ class Subgroup:
         inc = {v: g.inc[v] for v in range(g.num_vertices)}
         number, seq, parents = _bfs(g.rank, 0, out, inc)
         assert all(number[v] == v for v in seq), "graph not in canonical form"
+        # a tree path in a folded graph never backtracks, so it is reduced
         paths: list[Word] = [EPSILON] * g.num_vertices
         for v in seq[1:]:
             p, l, direction = parents[v]
-            paths[v] = Word(tuple(paths[p]) + (l if direction > 0 else -l,))
+            paths[v] = tuple.__new__(Word, paths[p] + (l if direction > 0 else -l,))
         tree_edges = set()
         for v, (p, l, direction) in parents.items():
             tree_edges.add((p, l, v) if direction > 0 else (v, l, p))
@@ -626,10 +633,15 @@ class Subgroup:
 
     @cached_property
     def basis(self) -> Basis:
-        """Canonical free basis; its size is the rank of the subgroup."""
+        """Canonical free basis; its size is the rank of the subgroup.
+
+        Element i runs the tree path to u, the i-th off-tree edge u -l-> v
+        and the tree path back from v.  Neither seam can cancel, as the
+        edge would then be the tree edge at u or at v, so it is reduced.
+        """
         _, paths, tree_edges = self._tree
         elements = tuple(
-            Word(tuple(paths[u]) + (l,) + tuple(invert(paths[v])))
+            tuple.__new__(Word, paths[u] + (l,) + invert(paths[v]))
             for u, l, v in self._basis_index
         )
         return Basis(elements=elements, tree_edges=tree_edges)
@@ -637,7 +649,10 @@ class Subgroup:
     def express_in_basis(self, w: Word) -> Word:
         """Rewrite w (which must lie in this subgroup) over the canonical basis.
 
-        The result v satisfies apply_hom(basis.elements, v) == w.
+        The result v satisfies apply_hom(basis.elements, v) == w.  It lists
+        the off-tree edges that w's path crosses; a reduced path cannot
+        cross one edge back and forth with only tree edges between, so
+        for a Word it is reduced as read.
         """
         if max_generator(w) > self.rank:
             raise RankMismatchError(f"word {word_to_text(w)!r} exceeds rank {self.rank}")
@@ -665,7 +680,7 @@ class Subgroup:
                 pos = prv
         if pos != 0:
             raise NotInSubgroupError(f"{word_to_text(w)!r} is not in the subgroup")
-        return Word(letters)
+        return tuple.__new__(Word, letters) if isinstance(w, Word) else Word(letters)
 
     def coset_representatives(self) -> tuple[Word, ...]:
         """Spanning-tree transversal words, one per vertex, in canonical order."""
@@ -690,7 +705,8 @@ def from_generators(rank: int, gens: Iterable[Word]) -> Subgroup:
     """Fold the given words into the core graph of the subgroup they generate."""
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
-    fg = _build_bouquet(rank, [Word(g) for g in gens], witness=False)
+    gens = [g if isinstance(g, Word) else Word(g) for g in gens]
+    fg = _build_bouquet(rank, gens, witness=False)
     base, edges = fg.folded_edges(0)
     return _make_subgroup(rank, base, edges)
 
@@ -719,47 +735,59 @@ def intersect(h: Subgroup, k: Subgroup) -> Subgroup:
         pair = queue.popleft()
         a, b = pair
         pid = seen[pair]
-        for l in range(1, rank + 1):
-            a2 = ga.out[a].get(l)
-            b2 = gb.out[b].get(l)
-            if a2 is not None and b2 is not None:
-                np = (a2, b2)
-                if np not in seen:
+        # one pass per direction, over the labels both vertices carry
+        for forward, ta, tb in ((True, ga.out[a], gb.out[b]), (False, ga.inc[a], gb.inc[b])):
+            for l, x in ta.items():
+                y = tb.get(l)
+                if y is None:
+                    continue
+                np = (x, y)
+                nid = seen.get(np)
+                if nid is None:
                     if len(seen) >= cap:
                         raise IndexCapError(
-                            f"fiber product exceeded the vertex cap ({cap})"
+                            f"intersect: the fiber product of graphs with {ga.num_vertices} "
+                            f"and {gb.num_vertices} vertices would exceed the vertex cap "
+                            f"({cap}) after {len(seen)} pairs; raise {VERTEX_CAP_ENV} "
+                            "to allow larger graphs"
                         )
-                    seen[np] = len(seen)
+                    nid = seen[np] = len(seen)
                     queue.append(np)
-                edges.add((pid, l, seen[np]))
-            a2 = ga.inc[a].get(l)
-            b2 = gb.inc[b].get(l)
-            if a2 is not None and b2 is not None:
-                np = (a2, b2)
-                if np not in seen:
-                    if len(seen) >= cap:
-                        raise IndexCapError(
-                            f"fiber product exceeded the vertex cap ({cap})"
-                        )
-                    seen[np] = len(seen)
-                    queue.append(np)
-                edges.add((seen[np], l, pid))
+                edges.add((pid, l, nid) if forward else (nid, l, pid))
     return _make_subgroup(rank, 0, edges)
 
 
 def join(h: Subgroup, k: Subgroup) -> Subgroup:
-    """Smallest subgroup containing both: wedge the graphs and fold."""
+    """Smallest subgroup containing both: fold K's graph onto H's as it is read.
+
+    H's graph is folded already and goes in as it stands.  K's vertices
+    are placed breadth-first from its basepoint: one reached along an
+    edge the folded graph already has takes that edge's endpoint, and
+    only one reached along a missing edge gets a fresh vertex, so the
+    live count follows the folded join rather than the wedge of the two.
+    """
     rank = _require_same_rank(h, k)
     fg = _FoldGraph(rank, "join")
-    ids_h = [fg.new_vertex() for _ in range(h.graph.num_vertices)]
-    ids_k = [
-        ids_h[0] if v == 0 else fg.new_vertex() for v in range(k.graph.num_vertices)
-    ]
+    fg._grow(h.graph.num_vertices)
     for u, l, v in h.graph.edges:
-        fg.add_edge(ids_h[u], l, ids_h[v])
-    for u, l, v in k.graph.edges:
-        fg.add_edge(ids_k[u], l, ids_k[v])
-    base, edges = fg.folded_edges(ids_h[0])
+        fg.out[u][l] = (v, None)
+        fg.inc[v][l] = u
+    gk = k.graph
+    place = {0: 0}  # vertex of K -> vertex of the fold
+    queue = [0]
+    for x in queue:  # grows while it is read
+        for forward, table in ((True, gk.out[x]), (False, gk.inc[x])):
+            for l, y in table.items():
+                u = fg.find(place[x])
+                if y not in place:
+                    t = fg.out[u].get(l, (None,))[0] if forward else fg.inc[u].get(l)
+                    place[y] = fg.new_vertex() if t is None else t
+                    queue.append(y)
+                    if t is not None:
+                        continue  # the edge is there already
+                v = place[y]
+                fg.add_edge(*((u, l, v) if forward else (v, l, u)))
+    base, edges = fg.folded_edges(0)
     return _make_subgroup(rank, base, edges)
 
 
@@ -797,8 +825,12 @@ def kernel_mod_p(rank: int, weights: Sequence[int], p: int) -> Subgroup:
         raise RankMismatchError(f"expected {rank} weights, got {len(weights)}")
     if all(w % p == 0 for w in weights):
         raise ValueError("all weights vanish mod p; the kernel is the whole group")
-    if p > vertex_cap():
-        raise IndexCapError(f"modulus {p} exceeds the vertex cap ({vertex_cap()})")
+    cap = vertex_cap()
+    if p > cap:
+        raise IndexCapError(
+            f"kernel_mod_p: modulus {p} exceeds the vertex cap ({cap}); "
+            f"raise {VERTEX_CAP_ENV} to allow larger graphs"
+        )
     edges = set()
     for r in range(p):
         for i, w in enumerate(weights, start=1):

@@ -9,19 +9,25 @@ from typing import Sequence
 from freecomm import (
     EPSILON,
     PartialIso,
+    RankMismatchError,
     Subgroup,
     Word,
+    apply,
     apply_hom,
     embed_aut,
     from_generators,
     generator,
+    image_subgroup,
     intersect,
     invert,
     join,
     kernel_mod_p,
+    make_iso,
     restrict,
+    rewrite_over_basis,
     subgroup_from_document,
     whole_group,
+    witness_expresser,
 )
 from freecomm.stallings import _FoldGraph, _make_subgroup
 
@@ -220,3 +226,50 @@ def expresser_by_letters(rank: int, gens: Sequence[Word]):
     """Reference witness_expresser over the letter-by-letter fold."""
     fg = _fold_letter_by_letter(rank, gens, True)
     return lambda w: fg.express(0, w)
+
+
+def join_by_wedge(h: Subgroup, k: Subgroup) -> Subgroup:
+    """Reference join: wedge both graphs at the basepoint, then fold.
+
+    This is how the library joined before it placed K's vertices as it
+    read K's edges; it allocates every vertex of both graphs up front.
+    """
+    fg = _FoldGraph(h.rank, "wedge reference")
+    ids_h = [fg.new_vertex() for _ in range(h.graph.num_vertices)]
+    ids_k = [ids_h[0] if v == 0 else fg.new_vertex() for v in range(k.graph.num_vertices)]
+    for u, l, v in h.graph.edges:
+        fg.add_edge(ids_h[u], l, ids_h[v])
+    for u, l, v in k.graph.edges:
+        fg.add_edge(ids_k[u], l, ids_k[v])
+    base, edges = fg.folded_edges(ids_h[0])
+    return _make_subgroup(h.rank, base, edges)
+
+
+# Reference iso calculus: every map is validated by make_iso, and pulling a
+# subgroup back through alpha inverts the whole of alpha first.  This is
+# how the library built maps before it built them by construction.
+
+
+def invert_iso_by_make_iso(phi: PartialIso) -> PartialIso:
+    express = witness_expresser(phi.rank, phi.images)
+    preimages = [
+        apply_hom(phi.domain.basis.elements, express(c)) for c in phi.codomain.basis.elements
+    ]
+    return make_iso(phi.codomain, phi.domain, preimages)
+
+
+def compose_by_inversion(alpha: PartialIso, beta: PartialIso) -> PartialIso:
+    if alpha.rank != beta.rank:
+        raise RankMismatchError(f"mixed ambient ranks {alpha.rank} and {beta.rank}")
+    mid = intersect(alpha.codomain, beta.domain)
+    dom = image_subgroup(invert_iso_by_make_iso(alpha), mid)
+    images = [apply(beta, apply(alpha, b)) for b in dom.basis.elements]
+    return make_iso(dom, from_generators(alpha.rank, images), images)
+
+
+def transfer_to_subgroup_by_inversion(alpha: PartialIso, h: Subgroup) -> PartialIso:
+    h_basis = h.basis.elements
+    pre = image_subgroup(invert_iso_by_make_iso(alpha), intersect(alpha.codomain, h))
+    dom = rewrite_over_basis(h, intersect(pre, h))
+    images = [h.express_in_basis(apply(alpha, apply_hom(h_basis, c))) for c in dom.basis.elements]
+    return make_iso(dom, from_generators(len(h_basis), images), images)

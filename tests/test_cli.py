@@ -338,6 +338,15 @@ def test_bs_modulus_is_checked_against_the_cap():
     assert json.loads(out)["ok"] is True
 
 
+def test_sparse_graph_of_huge_rank_from_stdin(monkeypatch):
+    doc = {"rank": 100_000_000, "basepoint": 0, "edges": [[0, 0, 1]]}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    start = time.perf_counter()
+    code, out, err = invoke("subgroup", "index", "-")
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (0, "infinite\n", "")
+
+
 def test_closed_stdout_exits_quietly():
     # the document (about 0.5 MB) outgrows the pipe buffer, so the writer
     # is still writing when the reader closes its end

@@ -9,13 +9,14 @@ from freecomm import (
     InfiniteIndexError,
     from_generators,
     intersect,
+    join,
     kernel_mod_p,
     overgroups,
     parse_word,
     subindex,
     whole_group,
 )
-from support import lattice_by_joins, random_cover
+from support import join_by_wedge, lattice_by_joins, random_cover, random_word
 
 
 def elementary_abelian_kernel(k):
@@ -52,3 +53,30 @@ def test_infinite_index_is_rejected():
         overgroups(h)
     with pytest.raises(InfiniteIndexError):
         subindex(h)
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6))
+@settings(deadline=None, max_examples=60)
+def test_join_matches_wedge_then_fold(seed):
+    rng = random.Random(seed)
+    rank = rng.choice((2, 3))
+    h = random_cover(rng, rank, rng.randrange(1, 13))
+    k = random_cover(rng, rank, rng.randrange(1, 13))
+    # and a subgroup of infinite index, whose graph is not a cover
+    g = from_generators(rank, [random_word(rng, rank) for _ in range(rng.randrange(1, 4))])
+    for a, b in ((h, k), (k, h), (h, g), (g, h), (g, g)):
+        assert join(a, b) == join_by_wedge(a, b)
+
+
+def test_join_of_large_kernels_stays_under_the_cap(monkeypatch):
+    # the wedge of the two graphs has 10,005 vertices; their join is one
+    monkeypatch.delenv("FREECOMM_INDEX_CAP", raising=False)
+    h = kernel_mod_p(2, (1, 0), 5003)
+    k = kernel_mod_p(2, (0, 1), 5003)
+    assert join(h, k) == whole_group(2)
+    # a vertex reached along an edge already there costs no allocation, so
+    # joining a graph with itself fits a cap of exactly its size
+    monkeypatch.setenv("FREECOMM_INDEX_CAP", "60")
+    h = kernel_mod_p(2, (1, 1), 60)
+    assert join(h, h) == h
+    assert join(h, whole_group(2)) == whole_group(2)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from freecomm import (
     IndexCapError,
     InfiniteIndexError,
     NotInSubgroupError,
+    Subgroup,
     Word,
     apply_hom,
     canonical_form,
@@ -421,6 +423,34 @@ def test_vertex_cap_guard(monkeypatch):
         intersect(kernel_mod_p(2, (1, 0), 5), kernel_mod_p(2, (0, 1), 7))
     monkeypatch.setenv("FREECOMM_INDEX_CAP", "100")
     assert intersect(kernel_mod_p(2, (1, 0), 5), kernel_mod_p(2, (0, 1), 7)).index() == 35
+
+
+def test_cap_errors_name_the_operation_and_sizes(monkeypatch):
+    h, k = kernel_mod_p(2, (1, 0), 5), kernel_mod_p(2, (0, 1), 7)
+    monkeypatch.setenv("FREECOMM_INDEX_CAP", "8")
+    with pytest.raises(
+        IndexCapError,
+        match=r"^intersect: the fiber product of graphs with 5 and 7 vertices would "
+        r"exceed the vertex cap \(8\) after 8 pairs; raise FREECOMM_INDEX_CAP",
+    ):
+        intersect(h, k)
+    monkeypatch.setenv("FREECOMM_INDEX_CAP", "50")
+    with pytest.raises(
+        IndexCapError,
+        match=r"^kernel_mod_p: modulus 53 exceeds the vertex cap \(50\); raise FREECOMM_INDEX_CAP",
+    ):
+        kernel_mod_p(2, (1, 0), 53)
+
+
+def test_sparse_document_of_huge_rank_loads_fast():
+    # the canonical scan visits the labels present, not every label up to the rank
+    doc = {"rank": 100_000_000, "basepoint": 0, "edges": [[0, 0, 1]]}
+    start = time.perf_counter()
+    g = graph_from_document(doc)
+    assert time.perf_counter() - start < 1
+    assert g.edges == ((0, 1, 0),)
+    assert Subgroup(g).index() is math.inf
+    assert Subgroup(g).basis.elements == (parse_word("a"),)
 
 
 def test_canonical_form_is_stable():
