@@ -158,6 +158,11 @@ def _require_equal_rank(m: int, codomain: Subgroup) -> None:
         )
 
 
+def _require_finite_index(h: Subgroup) -> None:
+    if h.index() is math.inf:
+        raise InvalidIsoError("domain and codomain must have finite index")
+
+
 def _iso(
     domain: Subgroup, images: Sequence[Word], codomain: Optional[Subgroup] = None
 ) -> PartialIso:
@@ -178,6 +183,7 @@ def _iso(
 
 def identity_iso(h: Subgroup) -> PartialIso:
     """The identity map of a finite-index subgroup."""
+    _require_finite_index(h)
     return _iso(h, h.basis.elements, h)
 
 
@@ -331,6 +337,7 @@ def restrict(phi: PartialIso, k: Subgroup) -> PartialIso:
                 f"restriction target is not contained in the domain "
                 f"({word_to_text(b)!r} escapes)"
             )
+    _require_finite_index(k)
     return _iso(k, [apply(phi, b) for b in k.basis.elements])
 
 
@@ -507,6 +514,7 @@ def transfer_to_overgroup(beta: PartialIso, h: Subgroup) -> PartialIso:
         raise RankMismatchError(
             f"the map is over rank {beta.rank} but H has basis size {len(h_basis)}"
         )
+    _require_finite_index(h)
     lifted = [apply_hom(h_basis, d) for d in beta.domain.basis.elements]
     dom = from_generators(h.rank, lifted)
     images = []

@@ -148,12 +148,11 @@ class CoreGraph:
         )
 
 
-def _bfs(rank: int, base, out: dict, inc: dict):
+def _bfs(base, out: dict, inc: dict):
     """Canonical BFS from the basepoint.
 
-    Scans labels in increasing order, outgoing before incoming.  Only
-    labels present at the vertex are scanned when there are fewer of
-    them than the rank, so a sparse graph of huge rank costs its edges.
+    Scans the labels present at each vertex in increasing order, outgoing
+    before incoming, so a sparse graph of huge rank costs its edges.
     Returns (numbering, visit sequence, parents) where parents[v] =
     (parent, label, direction) describes the discovering tree edge.
     """
@@ -166,11 +165,7 @@ def _bfs(rank: int, base, out: dict, inc: dict):
         i += 1
         ov = out.get(v, {})
         iv = inc.get(v, {})
-        if len(ov) + len(iv) < rank:
-            labels = sorted(ov.keys() | iv.keys())
-        else:
-            labels = range(1, rank + 1)
-        for l in labels:
+        for l in sorted(ov.keys() | iv.keys()):
             w = ov.get(l)
             if w is not None and w not in number:
                 number[w] = len(seq)
@@ -196,7 +191,7 @@ def _adjacency(edges) -> tuple[dict, dict]:
 def _canonical(rank: int, base, edges) -> CoreGraph:
     """Renumber a folded connected graph into canonical form."""
     out, inc = _adjacency(edges)
-    number, seq, _parents = _bfs(rank, base, out, inc)
+    number, seq, _parents = _bfs(base, out, inc)
     vertices = set(out) | set(inc) | {base}
     if len(number) < len(vertices):
         raise ValueError("graph is not connected from the basepoint")
@@ -612,7 +607,7 @@ class Subgroup:
         g = self.graph
         out = {v: g.out[v] for v in range(g.num_vertices)}
         inc = {v: g.inc[v] for v in range(g.num_vertices)}
-        number, seq, parents = _bfs(g.rank, 0, out, inc)
+        number, seq, parents = _bfs(0, out, inc)
         assert all(number[v] == v for v in seq), "graph not in canonical form"
         # a tree path in a folded graph never backtracks, so it is reduced
         paths: list[Word] = [EPSILON] * g.num_vertices
@@ -837,7 +832,7 @@ def kernel_mod_p(rank: int, weights: Sequence[int], p: int) -> Subgroup:
             edges.add((r, i, (r + w) % p))
     # keep the component of 0 (proper when gcd(weights, p) > 1)
     out, inc = _adjacency(edges)
-    number, _, _ = _bfs(rank, 0, out, inc)
+    number, _, _ = _bfs(0, out, inc)
     edges = {e for e in edges if e[0] in number}
     return _make_subgroup(rank, 0, edges)
 
@@ -991,7 +986,7 @@ def graph_from_document(doc) -> CoreGraph:
         out[u][l] = v
         inc[v][l] = u
     vertices = set(out) | set(inc) | {basepoint}
-    number, _, _ = _bfs(rank, basepoint, out, inc)
+    number, _, _ = _bfs(basepoint, out, inc)
     if len(number) < len(vertices):
         raise DocumentError("not connected: some vertex is unreachable from the basepoint")
     for v in vertices:

@@ -247,6 +247,21 @@ def test_iso_transfer_directions(tmp_path):
     assert code == 2
 
 
+def test_iso_builders_reject_infinite_index(tmp_path):
+    swap = swap_iso_file(tmp_path)
+    code, out, _ = invoke("subgroup", "gens", "--rank", "2", "aaa")
+    cyclic = write_doc(tmp_path / "cyclic.json", json.loads(out))
+    code, _, err = invoke("iso", "restrict", swap, "--to", cyclic)
+    assert code == 2
+    assert "finite index" in err
+    code, out, _ = invoke("subgroup", "gens", "--rank", "2", "a", "baB")
+    thin = write_doc(tmp_path / "thin.json", json.loads(out))
+    whole = write_doc(tmp_path / "whole.json", iso_to_document(identity_iso(whole_group(2))))
+    code, _, err = invoke("iso", "transfer", whole, "--up", thin)
+    assert code == 2
+    assert "finite index" in err
+
+
 def test_paper_commands(tmp_path):
     code, out, _ = invoke("paper", "kernel-swap", "--rank", "2", "--prime", "3")
     assert code == 0

@@ -24,6 +24,8 @@ from freecomm import (
     kernel_mod_p,
     make_iso,
     parse_word,
+    restrict,
+    transfer_to_overgroup,
     transfer_to_subgroup,
     whole_group,
 )
@@ -130,3 +132,18 @@ def test_constructor_rejects_rank_drop_as_make_iso_does():
         commensurator._iso(domain, images)
     with pytest.raises(InvalidIsoError, match="rank drop: domain has rank 3 but codomain has rank 2"):
         make_iso(domain, whole_group(2), images)
+
+
+def test_builders_reject_infinite_index_as_make_iso_does():
+    # <a, bab^-1> has rank 2 and infinite index in the free group of rank 2
+    thin = from_generators(2, [parse_word("a"), parse_word("baB")])
+    whole = identity_iso(whole_group(2))
+    message = "domain and codomain must have finite index"
+    with pytest.raises(InvalidIsoError, match=message):
+        identity_iso(thin)
+    with pytest.raises(InvalidIsoError, match=message):
+        restrict(whole, thin)
+    with pytest.raises(InvalidIsoError, match=message):
+        transfer_to_overgroup(whole, thin)
+    with pytest.raises(InvalidIsoError, match=message):
+        make_iso(thin, thin, thin.basis.elements)
