@@ -73,7 +73,6 @@ from .commensurator import (
     extendAB_certificate,
     extend_pair,
     identity_iso,
-    image_subgroup,
     invert_iso,
     is_identity_class,
     iso_from_document,

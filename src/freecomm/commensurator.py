@@ -50,6 +50,7 @@ from .stallings import (
 from .words import (
     EPSILON,
     Word,
+    _quoted,
     apply_hom,
     concat,
     invert,
@@ -73,7 +74,6 @@ __all__ = [
     "extendAB_certificate",
     "extend_pair",
     "identity_iso",
-    "image_subgroup",
     "invert_iso",
     "is_identity_class",
     "iso_from_document",
@@ -140,7 +140,7 @@ def make_iso(domain: Subgroup, codomain: Subgroup, images: Sequence[Word]) -> Pa
     for w in images:
         if not codomain.contains(w):
             raise InvalidIsoError(
-                f"image {word_to_text(w)!r} lies outside the codomain"
+                f"image {_quoted(w)} lies outside the codomain"
             )
     folded = from_generators(domain.rank, images)
     if folded != codomain:
@@ -192,11 +192,6 @@ def apply(phi: PartialIso, w: Word) -> Word:
     return apply_hom(phi.images, phi.domain.express_in_basis(w))
 
 
-def image_subgroup(phi: PartialIso, k: Subgroup) -> Subgroup:
-    """Image of a subgroup K of the domain."""
-    return from_generators(phi.rank, [apply(phi, b) for b in k.basis.elements])
-
-
 def _pull_back(alpha: PartialIso, k: Subgroup) -> Subgroup:
     """The preimage under alpha of a finite-index subgroup K of its codomain.
 
@@ -214,9 +209,9 @@ def _pull_back(alpha: PartialIso, k: Subgroup) -> Subgroup:
     edges = []
     for v, c in queue:  # grows while it is read
         pid = seen[v, c]
-        for l, w in g.out[v].items():
-            i = index.get((v, l, w))
-            pair = (w, c if i is None else kg.trace(c, alpha.images[i]))
+        for l in range(1, alpha.rank + 1):
+            i = index.get((v, l))
+            pair = (g.adj[v][l], c if i is None else kg.trace(c, alpha.images[i - 1]))
             nid = seen.get(pair)
             if nid is None:
                 if len(seen) >= cap:
@@ -335,7 +330,7 @@ def restrict(phi: PartialIso, k: Subgroup) -> PartialIso:
         if not phi.domain.contains(b):
             raise NotInSubgroupError(
                 f"restriction target is not contained in the domain "
-                f"({word_to_text(b)!r} escapes)"
+                f"({_quoted(b)} escapes)"
             )
     _require_finite_index(k)
     return _iso(k, [apply(phi, b) for b in k.basis.elements])
@@ -355,7 +350,7 @@ def embed_aut(images: Sequence[Word]) -> PartialIso:
     rose = whole_group(rank)
     for w in images:
         if max_generator(w) > rank:
-            raise RankMismatchError(f"image {word_to_text(w)!r} exceeds rank {rank}")
+            raise RankMismatchError(f"image {_quoted(w)} exceeds rank {rank}")
     if from_generators(rank, images) != rose:
         raise InvalidIsoError(
             "images do not generate the whole group, so this is not an automorphism"
@@ -386,9 +381,9 @@ def compute_extension(phi: PartialIso) -> Union[tuple[Word, ...], NoExtension]:
     for i in range(1, rank + 1):
         # order of the basepoint in the coset action of generator i
         m = 1
-        v = graph.out[0][i]
+        v = graph.adj[0][i]
         while v != 0:
-            v = graph.out[v][i]
+            v = graph.adj[v][i]
             m += 1
         mapped = apply(phi, power(Word((i,)), m))
         root = nth_root(mapped, m)
@@ -409,7 +404,7 @@ def compute_extension(phi: PartialIso) -> Union[tuple[Word, ...], NoExtension]:
         if apply_hom(candidates, b) != img:
             return NoExtension(
                 reason="the forced candidate automorphism does not agree with "
-                f"the map on {word_to_text(b)!r}"
+                f"the map on {_quoted(b)}"
             )
     return tuple(candidates)
 
@@ -456,7 +451,7 @@ def extend_pair(phi1: PartialIso, phi2: PartialIso) -> PartialIso:
         if apply(phi1, w) != apply(phi2, w):
             raise InvalidIsoError(
                 "the maps disagree on the intersection of their domains "
-                f"(at {word_to_text(w)!r})"
+                f"(at {_quoted(w)})"
             )
     j = join(h1, h2)
     # coset bookkeeping: reach every coset of the normal subgroup that meets

@@ -3,16 +3,17 @@
 A subgroup H of the free group F_rank is represented by its folded core
 graph: a based, edge-labeled digraph in which words trace paths (letter
 +l follows the l-labeled edge forward, -l backward) and membership in H
-is "traces a closed loop at the basepoint".  The graph is kept in a
-canonical form (breadth-first vertex numbering from the basepoint,
-scanning labels in increasing order, outgoing before incoming), so two
+is "traces a closed loop at the basepoint".  Every walk reads one table:
+adj[v][a] is where the signed letter a leads from v, listed at each
+vertex in scan order +1, -1, +2, -2, ...  The graph is kept in canonical
+form (breadth-first numbering from the basepoint, in scan order), so two
 subgroups are equal exactly when their graphs compare equal.
 
 Finite index corresponds to the graph being a cover (every vertex has
-exactly one edge per label in each direction); the index is then the
-vertex count.  Graph constructions fail fast once the graph they build
-would exceed a configurable vertex cap (FREECOMM_INDEX_CAP, default
-10 000); folding counts the live vertices of the folded graph.
+all 2·rank letters); the index is then the vertex count.  Graph
+constructions fail fast once the graph they build would exceed a
+configurable vertex cap (FREECOMM_INDEX_CAP, default 10 000); folding
+counts the live vertices of the folded graph.
 
 Folding optionally carries witness words: each vertex and edge remembers
 how it was reached as a product of the input generators, which yields,
@@ -39,7 +40,7 @@ from .errors import (
     NotInSubgroupError,
     RankMismatchError,
 )
-from .words import EPSILON, Word, concat, conjugate, invert, max_generator, word_to_text
+from .words import EPSILON, Word, _quoted, concat, conjugate, invert, max_generator
 
 __all__ = [
     "Basis",
@@ -110,121 +111,82 @@ class CoreGraph:
         return n
 
     @cached_property
-    def out(self) -> tuple[dict, ...]:
-        """out[v][label] = head of the label-edge leaving v, if any."""
-        table: tuple[dict, ...] = tuple({} for _ in range(self.num_vertices))
-        for u, l, v in self.edges:
-            table[u][l] = v
-        return table
-
-    @cached_property
-    def inc(self) -> tuple[dict, ...]:
-        """inc[v][label] = tail of the label-edge entering v, if any."""
-        table: tuple[dict, ...] = tuple({} for _ in range(self.num_vertices))
-        for u, l, v in self.edges:
-            table[v][l] = u
-        return table
+    def adj(self) -> tuple[dict, ...]:
+        """adj[v][a] = where the signed letter a leads from v, if anywhere;
+        each dict lists its letters in scan order +1, -1, +2, -2, ..."""
+        table = _adjacency(self.basepoint, self.edges)
+        return tuple(table.get(v, {}) for v in range(self.num_vertices))
 
     def step(self, vertex: int, letter: int) -> Optional[int]:
         """Follow one letter from a vertex; None if the edge is missing."""
-        if letter > 0:
-            return self.out[vertex].get(letter)
-        return self.inc[vertex].get(-letter)
+        return self.adj[vertex].get(letter)
 
     def trace(self, vertex: int, w: Word) -> Optional[int]:
         """Endpoint of the path spelling w from vertex, or None if it leaves."""
+        adj = self.adj
         pos: Optional[int] = vertex
         for a in w:
-            pos = self.step(pos, a)
+            pos = adj[pos].get(a)
             if pos is None:
                 return None
         return pos
 
     def is_cover(self) -> bool:
         """True when every vertex has a full set of edges both ways."""
-        return all(
-            len(self.out[v]) == self.rank and len(self.inc[v]) == self.rank
-            for v in range(self.num_vertices)
-        )
+        return all(len(letters) == 2 * self.rank for letters in self.adj)
 
 
-def _bfs(base, out: dict, inc: dict):
-    """Canonical BFS from the basepoint.
+def _adjacency(base, edges) -> dict:
+    """adj[v][a] = where the signed letter a leads from v; the basepoint is a
+    vertex even when no edge meets it.
 
-    Scans the labels present at each vertex in increasing order, outgoing
-    before incoming, so a sparse graph of huge rank costs its edges.
+    Each vertex's dict is written in scan order +1, -1, +2, -2, ...: the
+    edges are grouped by label, and each label writes its outgoing
+    entries before its incoming ones.
+    """
+    by_label: dict = {}
+    for e in edges:
+        by_label.setdefault(e[1], []).append(e)
+    adj: dict = {base: {}}
+    for l in sorted(by_label):
+        group = by_label[l]
+        for u, _, v in group:
+            adj.setdefault(u, {})[l] = v
+        for u, _, v in group:
+            adj.setdefault(v, {})[-l] = u
+    return adj
+
+
+def _bfs(base, adj):
+    """Canonical BFS from the basepoint, reading each vertex's letters in order.
+
     Returns (numbering, visit sequence, parents) where parents[v] =
-    (parent, label, direction) describes the discovering tree edge.
+    (parent, signed letter) describes the discovering tree edge.
     """
     number = {base: 0}
     seq = [base]
     parents: dict = {}
-    i = 0
-    while i < len(seq):
-        v = seq[i]
-        i += 1
-        ov = out.get(v, {})
-        iv = inc.get(v, {})
-        for l in sorted(ov.keys() | iv.keys()):
-            w = ov.get(l)
-            if w is not None and w not in number:
+    for v in seq:  # grows while it is read
+        for a, w in adj[v].items():
+            if w not in number:
                 number[w] = len(seq)
                 seq.append(w)
-                parents[w] = (v, l, 1)
-            w = iv.get(l)
-            if w is not None and w not in number:
-                number[w] = len(seq)
-                seq.append(w)
-                parents[w] = (v, l, -1)
+                parents[w] = (v, a)
     return number, seq, parents
 
 
-def _adjacency(edges) -> tuple[dict, dict]:
-    out: dict = {}
-    inc: dict = {}
-    for u, l, v in edges:
-        out.setdefault(u, {})[l] = v
-        inc.setdefault(v, {})[l] = u
-    return out, inc
+def _renumber(rank: int, base, adj: dict) -> CoreGraph:
+    """Canonical form of a folded graph given by its table; it must be connected."""
+    number, seq, _ = _bfs(base, adj)
+    if len(number) < len(adj):
+        raise ValueError("graph is not connected from the basepoint")
+    edges = [(number[u], a, number[v]) for u in seq for a, v in adj[u].items() if a > 0]
+    return CoreGraph(rank=rank, edges=tuple(sorted(edges)), basepoint=0)
 
 
 def _canonical(rank: int, base, edges) -> CoreGraph:
     """Renumber a folded connected graph into canonical form."""
-    out, inc = _adjacency(edges)
-    number, seq, _parents = _bfs(base, out, inc)
-    vertices = set(out) | set(inc) | {base}
-    if len(number) < len(vertices):
-        raise ValueError("graph is not connected from the basepoint")
-    new_edges = tuple(sorted((number[u], l, number[v]) for u, l, v in edges))
-    return CoreGraph(rank=rank, edges=new_edges, basepoint=0)
-
-
-def _core(base, edges) -> set:
-    """Drop trees hanging off the graph; the basepoint survives regardless."""
-    edges = set(edges)
-    deg: dict = {}
-    incident: dict = {}
-    for e in edges:
-        u, _, v = e
-        for x in (u, v):
-            deg[x] = deg.get(x, 0) + 1
-            incident.setdefault(x, set()).add(e)
-    stack = [v for v, d in deg.items() if d <= 1 and v != base]
-    while stack:
-        v = stack.pop()
-        if v == base or deg.get(v, 0) > 1:
-            continue
-        for e in list(incident.get(v, ())):
-            if e not in edges:
-                continue
-            edges.discard(e)
-            u, _, w2 = e
-            for x in (u, w2):
-                deg[x] -= 1
-                if x != v and x != base and deg[x] <= 1:
-                    stack.append(x)
-        incident.get(v, set()).clear()
-    return edges
+    return _renumber(rank, base, _adjacency(base, edges))
 
 
 def canonical_form(graph: CoreGraph) -> CoreGraph:
@@ -275,6 +237,10 @@ class _FoldGraph:
 
     def new_vertex(self) -> int:
         return self._grow(1)
+
+    def step(self, root: int, a: int) -> Optional[int]:
+        """The vertex id the signed letter a leads to from a root, or None."""
+        return self.out[root].get(a, (None,))[0] if a > 0 else self.inc[root].get(-a)
 
     def find(self, x: int) -> int:
         root = x
@@ -543,7 +509,7 @@ def _build_bouquet(rank: int, gens: Sequence[Word], witness: bool) -> _FoldGraph
     base = fg.new_vertex()
     for i, g in enumerate(gens):
         if max_generator(g) > rank:
-            raise RankMismatchError(f"generator {word_to_text(g)!r} exceeds rank {rank}")
+            raise RankMismatchError(f"generator {_quoted(g)} exceeds rank {rank}")
         fg.add_loop(base, g, Word((i + 1,)) if witness else None)
     return fg
 
@@ -563,7 +529,7 @@ def witness_expresser(rank: int, gens: Sequence[Word]):
 
     def express(w: Word) -> Optional[Word]:
         if max_generator(w) > rank:
-            raise RankMismatchError(f"word {word_to_text(w)!r} exceeds rank {rank}")
+            raise RankMismatchError(f"word {_quoted(w)} exceeds rank {rank}")
         return fg.express(0, w)
 
     return express
@@ -594,7 +560,7 @@ class Subgroup:
 
     def contains(self, w: Word) -> bool:
         if max_generator(w) > self.rank:
-            raise RankMismatchError(f"word {word_to_text(w)!r} exceeds rank {self.rank}")
+            raise RankMismatchError(f"word {_quoted(w)} exceeds rank {self.rank}")
         return self.graph.trace(0, w) == 0
 
     def index(self):
@@ -603,28 +569,31 @@ class Subgroup:
 
     @cached_property
     def _tree(self):
-        """(parents, paths): canonical spanning tree and base-to-vertex words."""
+        """(paths, tree): base-to-vertex words along the canonical spanning
+        tree, and the tree's half-edges (vertex, signed letter), both ways."""
         g = self.graph
-        out = {v: g.out[v] for v in range(g.num_vertices)}
-        inc = {v: g.inc[v] for v in range(g.num_vertices)}
-        number, seq, parents = _bfs(0, out, inc)
+        number, seq, parents = _bfs(0, g.adj)
         assert all(number[v] == v for v in seq), "graph not in canonical form"
         # a tree path in a folded graph never backtracks, so it is reduced
         paths: list[Word] = [EPSILON] * g.num_vertices
+        tree = set()
         for v in seq[1:]:
-            p, l, direction = parents[v]
-            paths[v] = tuple.__new__(Word, paths[p] + (l if direction > 0 else -l,))
-        tree_edges = set()
-        for v, (p, l, direction) in parents.items():
-            tree_edges.add((p, l, v) if direction > 0 else (v, l, p))
-        return parents, tuple(paths), frozenset(tree_edges)
+            p, a = parents[v]
+            paths[v] = tuple.__new__(Word, paths[p] + (a,))
+            tree.update(((p, a), (v, -a)))
+        return tuple(paths), tree
 
     @cached_property
     def _basis_index(self) -> dict:
-        """Each edge off the spanning tree, in sorted order, to its basis position."""
-        _, _, tree_edges = self._tree
-        off_tree = [e for e in sorted(self.graph.edges) if e not in tree_edges]
-        return {e: i for i, e in enumerate(off_tree)}
+        """Each half-edge (vertex, signed letter) off the spanning tree to
+        ±(i+1), for the i-th off-tree edge in sorted order."""
+        _, tree = self._tree
+        index: dict = {}
+        off_tree = (e for e in self.graph.edges if e[:2] not in tree)
+        for i, (u, l, v) in enumerate(off_tree, start=1):
+            index[u, l] = i
+            index[v, -l] = -i
+        return index
 
     @cached_property
     def basis(self) -> Basis:
@@ -634,11 +603,14 @@ class Subgroup:
         and the tree path back from v.  Neither seam can cancel, as the
         edge would then be the tree edge at u or at v, so it is reduced.
         """
-        _, paths, tree_edges = self._tree
+        paths, tree = self._tree
+        g = self.graph
         elements = tuple(
-            tuple.__new__(Word, paths[u] + (l,) + invert(paths[v]))
-            for u, l, v in self._basis_index
+            tuple.__new__(Word, paths[u] + (l,) + invert(paths[g.adj[u][l]]))
+            for (u, l), i in self._basis_index.items()
+            if i > 0
         )
+        tree_edges = frozenset(e for e in g.edges if e[:2] in tree)
         return Basis(elements=elements, tree_edges=tree_edges)
 
     def express_in_basis(self, w: Word) -> Word:
@@ -650,43 +622,42 @@ class Subgroup:
         for a Word it is reduced as read.
         """
         if max_generator(w) > self.rank:
-            raise RankMismatchError(f"word {word_to_text(w)!r} exceeds rank {self.rank}")
-        g = self.graph
-        table = self._basis_index
-        pos = 0
+            raise RankMismatchError(f"word {_quoted(w)} exceeds rank {self.rank}")
+        adj, index = self.graph.adj, self._basis_index
+        pos: Optional[int] = 0
         letters: list[int] = []
         for a in w:
-            l = abs(a)
-            if a > 0:
-                nxt = g.out[pos].get(l)
-                if nxt is None:
-                    raise NotInSubgroupError(f"{word_to_text(w)!r} is not in the subgroup")
-                idx = table.get((pos, l, nxt))
-                if idx is not None:
-                    letters.append(idx + 1)
-                pos = nxt
-            else:
-                prv = g.inc[pos].get(l)
-                if prv is None:
-                    raise NotInSubgroupError(f"{word_to_text(w)!r} is not in the subgroup")
-                idx = table.get((prv, l, pos))
-                if idx is not None:
-                    letters.append(-(idx + 1))
-                pos = prv
+            i = index.get((pos, a))
+            if i is not None:
+                letters.append(i)
+            pos = adj[pos].get(a)
+            if pos is None:
+                break
         if pos != 0:
-            raise NotInSubgroupError(f"{word_to_text(w)!r} is not in the subgroup")
+            raise NotInSubgroupError(f"{_quoted(w)} is not in the subgroup")
         return tuple.__new__(Word, letters) if isinstance(w, Word) else Word(letters)
 
     def coset_representatives(self) -> tuple[Word, ...]:
         """Spanning-tree transversal words, one per vertex, in canonical order."""
         if not self.graph.is_cover():
             raise InfiniteIndexError("coset representatives need finite index")
-        _, paths, _ = self._tree
-        return paths
+        return self._tree[0]
 
 
 def _make_subgroup(rank: int, base, edges) -> Subgroup:
-    return Subgroup(_canonical(rank, base, _core(base, set(edges))))
+    """The core graph of a folded connected graph, canonically numbered: each
+    vertex but the basepoint with at most one letter is pruned, and so is
+    the mirror of its half-edge at its neighbour, until none is left."""
+    adj = _adjacency(base, edges)
+    leaves = [v for v, letters in adj.items() if len(letters) <= 1 and v != base]
+    while leaves:
+        v = leaves.pop()
+        for a, w in adj.pop(v).items():
+            letters = adj[w]
+            del letters[-a]
+            if len(letters) == 1 and w != base:
+                leaves.append(w)
+    return Subgroup(_renumber(rank, base, adj))
 
 
 def whole_group(rank: int) -> Subgroup:
@@ -722,33 +693,29 @@ def intersect(h: Subgroup, k: Subgroup) -> Subgroup:
     rank = _require_same_rank(h, k)
     ga, gb = h.graph, k.graph
     cap = vertex_cap()
-    start = (0, 0)
-    seen = {start: 0}
-    queue = deque([start])
-    edges = set()
-    while queue:
-        pair = queue.popleft()
-        a, b = pair
-        pid = seen[pair]
-        # one pass per direction, over the labels both vertices carry
-        for forward, ta, tb in ((True, ga.out[a], gb.out[b]), (False, ga.inc[a], gb.inc[b])):
-            for l, x in ta.items():
-                y = tb.get(l)
-                if y is None:
-                    continue
-                np = (x, y)
-                nid = seen.get(np)
-                if nid is None:
-                    if len(seen) >= cap:
-                        raise IndexCapError(
-                            f"intersect: the fiber product of graphs with {ga.num_vertices} "
-                            f"and {gb.num_vertices} vertices would exceed the vertex cap "
-                            f"({cap}) after {len(seen)} pairs; raise {VERTEX_CAP_ENV} "
-                            "to allow larger graphs"
-                        )
-                    nid = seen[np] = len(seen)
-                    queue.append(np)
-                edges.add((pid, l, nid) if forward else (nid, l, pid))
+    seen = {(0, 0): 0}
+    queue = [(0, 0)]
+    edges = []
+    for u, v in queue:  # grows while it is read
+        pid = seen[u, v]
+        next_b = gb.adj[v]
+        for a, x in ga.adj[u].items():  # the letters both vertices carry
+            y = next_b.get(a)
+            if y is None:
+                continue
+            nid = seen.get((x, y))
+            if nid is None:
+                if len(seen) >= cap:
+                    raise IndexCapError(
+                        f"intersect: the fiber product of graphs with {ga.num_vertices} "
+                        f"and {gb.num_vertices} vertices would exceed the vertex cap "
+                        f"({cap}) after {len(seen)} pairs; raise {VERTEX_CAP_ENV} "
+                        "to allow larger graphs"
+                    )
+                nid = seen[x, y] = len(seen)
+                queue.append((x, y))
+            if a > 0:
+                edges.append((pid, a, nid))
     return _make_subgroup(rank, 0, edges)
 
 
@@ -771,17 +738,16 @@ def join(h: Subgroup, k: Subgroup) -> Subgroup:
     place = {0: 0}  # vertex of K -> vertex of the fold
     queue = [0]
     for x in queue:  # grows while it is read
-        for forward, table in ((True, gk.out[x]), (False, gk.inc[x])):
-            for l, y in table.items():
-                u = fg.find(place[x])
-                if y not in place:
-                    t = fg.out[u].get(l, (None,))[0] if forward else fg.inc[u].get(l)
-                    place[y] = fg.new_vertex() if t is None else t
-                    queue.append(y)
-                    if t is not None:
-                        continue  # the edge is there already
-                v = place[y]
-                fg.add_edge(*((u, l, v) if forward else (v, l, u)))
+        for a, y in gk.adj[x].items():
+            u = fg.find(place[x])
+            if y not in place:
+                t = fg.step(u, a)
+                place[y] = fg.new_vertex() if t is None else t
+                queue.append(y)
+                if t is not None:
+                    continue  # the edge is there already
+            v = place[y]
+            fg.add_edge(*((u, a, v) if a > 0 else (v, -a, u)))
     base, edges = fg.folded_edges(0)
     return _make_subgroup(rank, base, edges)
 
@@ -789,7 +755,7 @@ def join(h: Subgroup, k: Subgroup) -> Subgroup:
 def conjugate_subgroup(h: Subgroup, g: Word) -> Subgroup:
     """The subgroup g⁻¹·H·g."""
     if max_generator(g) > h.rank:
-        raise RankMismatchError(f"word {word_to_text(g)!r} exceeds rank {h.rank}")
+        raise RankMismatchError(f"word {_quoted(g)} exceeds rank {h.rank}")
     t = h.graph.trace(0, g)
     if t is not None:
         # same graph, basepoint moved to the endpoint of g
@@ -826,14 +792,12 @@ def kernel_mod_p(rank: int, weights: Sequence[int], p: int) -> Subgroup:
             f"kernel_mod_p: modulus {p} exceeds the vertex cap ({cap}); "
             f"raise {VERTEX_CAP_ENV} to allow larger graphs"
         )
-    edges = set()
-    for r in range(p):
-        for i, w in enumerate(weights, start=1):
-            edges.add((r, i, (r + w) % p))
-    # keep the component of 0 (proper when gcd(weights, p) > 1)
-    out, inc = _adjacency(edges)
-    number, _, _ = _bfs(0, out, inc)
-    edges = {e for e in edges if e[0] in number}
+    # the component of 0 is the residues divisible by gcd(p, weights)
+    edges = [
+        (r, i, (r + w) % p)
+        for r in range(0, p, math.gcd(p, *weights))
+        for i, w in enumerate(weights, start=1)
+    ]
     return _make_subgroup(rank, 0, edges)
 
 
@@ -849,7 +813,7 @@ def rewrite_over_basis(h: Subgroup, k: Subgroup) -> Subgroup:
 def _block_systems(graph: CoreGraph) -> dict:
     """Every block system of the coset action of a finite-index subgroup.
 
-    Label l permutes the n cosets (vertices) by v -> out[v][l].  Maps the
+    Label l permutes the n cosets (vertices) by v -> adj[v][l].  Maps the
     block of the base coset 0 to the labelling of all cosets by the least
     member of their block.  coarsen(P, v) is the finest system coarser than P
     with 0 ~ v, by union-find closure (Atkinson, Math. Comp. 1975); forward
@@ -860,7 +824,7 @@ def _block_systems(graph: CoreGraph) -> dict:
     if not graph.is_cover():
         raise InfiniteIndexError("block systems need finite index")
     n = graph.num_vertices
-    perms = [[graph.out[v][l] for v in range(n)] for l in range(1, graph.rank + 1)]
+    perms = [[graph.adj[v][l] for v in range(n)] for l in range(1, graph.rank + 1)]
 
     def coarsen(labels, v):
         parent = list(labels)
@@ -899,7 +863,7 @@ def overgroups(h: Subgroup) -> list[Subgroup]:
     quotient of H's cover by the system's classes.
     """
     g = h.graph
-    # a quotient of a cover is a cover, so _core would prune nothing
+    # a quotient of a cover is a cover, so there is nothing to prune
     members = [
         Subgroup(_canonical(g.rank, 0, {(labels[u], l, labels[v]) for u, l, v in g.edges}))
         for labels in _block_systems(g).values()
@@ -976,24 +940,21 @@ def graph_from_document(doc) -> CoreGraph:
         if not 1 <= l <= rank:
             raise DocumentError(f"bad edge row {row!r}: label out of range 1..{rank}")
         edges.add((s, l, t))
-    out: dict = {}
-    inc: dict = {}
+    half_edges = set()
     for u, l, v in edges:
-        if l in out.setdefault(u, {}):
+        if (u, l) in half_edges:
             raise DocumentError(f"not folded: vertex {u} has two outgoing edges labeled {l}")
-        if l in inc.setdefault(v, {}):
+        if (v, -l) in half_edges:
             raise DocumentError(f"not folded: vertex {v} has two incoming edges labeled {l}")
-        out[u][l] = v
-        inc[v][l] = u
-    vertices = set(out) | set(inc) | {basepoint}
-    number, _, _ = _bfs(basepoint, out, inc)
-    if len(number) < len(vertices):
+        half_edges.update(((u, l), (v, -l)))
+    adj = _adjacency(basepoint, edges)
+    number, _, _ = _bfs(basepoint, adj)
+    if len(number) < len(adj):
         raise DocumentError("not connected: some vertex is unreachable from the basepoint")
-    for v in vertices:
-        deg = len(out.get(v, {})) + len(inc.get(v, {}))
-        if deg <= 1 and v != basepoint:
-            raise DocumentError(f"not a core graph: vertex {v} has degree {deg}")
-    return _canonical(rank, basepoint, edges)
+    for v in sorted(adj):
+        if len(adj[v]) <= 1 and v != basepoint:
+            raise DocumentError(f"not a core graph: vertex {v} has degree {len(adj[v])}")
+    return _renumber(rank, basepoint, adj)
 
 
 def subgroup_from_document(doc) -> Subgroup:

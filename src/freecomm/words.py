@@ -263,3 +263,8 @@ def word_to_text(w: Word) -> str:
         else:
             out.append(chr(_ORD_A_UPPER - a - 1))
     return "".join(out)
+
+
+def _quoted(w: Word) -> str:
+    """w quoted for an error message: letter syntax, or its letters past 26 generators."""
+    return repr(word_to_text(w)) if max_generator(w) <= 26 else repr(tuple(w))

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import Sequence
+from typing import Optional, Sequence
 
 from freecomm import (
     EPSILON,
+    CoreGraph,
     PartialIso,
     RankMismatchError,
     Subgroup,
@@ -16,8 +17,8 @@ from freecomm import (
     apply_hom,
     embed_aut,
     from_generators,
+    concat,
     generator,
-    image_subgroup,
     intersect,
     invert,
     join,
@@ -250,6 +251,10 @@ def join_by_wedge(h: Subgroup, k: Subgroup) -> Subgroup:
 # how the library built maps before it built them by construction.
 
 
+def image_subgroup(phi: PartialIso, k: Subgroup) -> Subgroup:
+    return from_generators(phi.rank, [apply(phi, b) for b in k.basis.elements])
+
+
 def invert_iso_by_make_iso(phi: PartialIso) -> PartialIso:
     express = witness_expresser(phi.rank, phi.images)
     preimages = [
@@ -273,3 +278,158 @@ def transfer_to_subgroup_by_inversion(alpha: PartialIso, h: Subgroup) -> Partial
     dom = rewrite_over_basis(h, intersect(pre, h))
     images = [h.express_in_basis(apply(alpha, apply_hom(h_basis, c))) for c in dom.basis.elements]
     return make_iso(dom, from_generators(len(h_basis), images), images)
+
+
+# Reference core-graph routines: two tables per graph, out[v][label] and
+# inc[v][label], and a pass over edge sets that prunes hanging trees.  This
+# is how the library numbered, pruned and read its graphs before it kept one
+# table keyed by signed letters.
+
+
+def _bfs_two_tables(base, out: dict, inc: dict):
+    """Canonical BFS: labels ascending at each vertex, outgoing before incoming.
+
+    Returns (numbering, visit sequence, parents) where parents[v] =
+    (parent, label, direction) describes the discovering tree edge.
+    """
+    number = {base: 0}
+    seq = [base]
+    parents: dict = {}
+    i = 0
+    while i < len(seq):
+        v = seq[i]
+        i += 1
+        ov = out.get(v, {})
+        iv = inc.get(v, {})
+        for l in sorted(ov.keys() | iv.keys()):
+            w = ov.get(l)
+            if w is not None and w not in number:
+                number[w] = len(seq)
+                seq.append(w)
+                parents[w] = (v, l, 1)
+            w = iv.get(l)
+            if w is not None and w not in number:
+                number[w] = len(seq)
+                seq.append(w)
+                parents[w] = (v, l, -1)
+    return number, seq, parents
+
+
+def _two_tables(edges) -> tuple[dict, dict]:
+    out: dict = {}
+    inc: dict = {}
+    for u, l, v in edges:
+        out.setdefault(u, {})[l] = v
+        inc.setdefault(v, {})[l] = u
+    return out, inc
+
+
+def canonical_by_two_tables(rank: int, base, edges) -> CoreGraph:
+    """Reference renumbering of a folded connected graph into canonical form."""
+    out, inc = _two_tables(edges)
+    number, _, _ = _bfs_two_tables(base, out, inc)
+    vertices = set(out) | set(inc) | {base}
+    if len(number) < len(vertices):
+        raise ValueError("graph is not connected from the basepoint")
+    new_edges = tuple(sorted((number[u], l, number[v]) for u, l, v in edges))
+    return CoreGraph(rank=rank, edges=new_edges, basepoint=0)
+
+
+def _core_by_edge_sets(base, edges) -> set:
+    """Drop trees hanging off the graph; the basepoint survives regardless."""
+    edges = set(edges)
+    deg: dict = {}
+    incident: dict = {}
+    for e in edges:
+        u, _, v = e
+        for x in (u, v):
+            deg[x] = deg.get(x, 0) + 1
+            incident.setdefault(x, set()).add(e)
+    stack = [v for v, d in deg.items() if d <= 1 and v != base]
+    while stack:
+        v = stack.pop()
+        if v == base or deg.get(v, 0) > 1:
+            continue
+        for e in list(incident.get(v, ())):
+            if e not in edges:
+                continue
+            edges.discard(e)
+            u, _, w2 = e
+            for x in (u, w2):
+                deg[x] -= 1
+                if x != v and x != base and deg[x] <= 1:
+                    stack.append(x)
+        incident.get(v, set()).clear()
+    return edges
+
+
+def make_subgroup_by_edge_sets(rank: int, base, edges) -> CoreGraph:
+    """Reference core graph of a folded connected graph: prune, then renumber."""
+    return canonical_by_two_tables(rank, base, _core_by_edge_sets(base, edges))
+
+
+def tree_by_two_tables(graph: CoreGraph):
+    """(paths, tree edges, off-tree edges) of a canonical graph's spanning tree.
+
+    paths[v] is the word along the tree from the basepoint to v; the
+    off-tree edges are listed in sorted order, one per basis element.
+    """
+    out, inc = _two_tables(graph.edges)
+    _, seq, parents = _bfs_two_tables(0, out, inc)
+    paths = {0: EPSILON}
+    for v in seq[1:]:
+        p, l, direction = parents[v]
+        paths[v] = concat(paths[p], Word((l * direction,)))
+    tree = {(p, l, v) if d > 0 else (v, l, p) for v, (p, l, d) in parents.items()}
+    return paths, frozenset(tree), [e for e in sorted(graph.edges) if e not in tree]
+
+
+def basis_by_two_tables(graph: CoreGraph) -> tuple[Word, ...]:
+    paths, _, off = tree_by_two_tables(graph)
+    return tuple(concat(concat(paths[u], Word((l,))), invert(paths[v])) for u, l, v in off)
+
+
+def express_in_basis_by_two_tables(graph: CoreGraph, w: Word) -> Optional[Word]:
+    """Reference rewrite of w over the canonical basis; None when w is not a member."""
+    out, inc = _two_tables(graph.edges)
+    index = {e: i for i, e in enumerate(tree_by_two_tables(graph)[2])}
+    pos = 0
+    letters = []
+    for a in w:
+        if a > 0:
+            nxt = out.get(pos, {}).get(a)
+            edge, sign = (pos, a, nxt), 1
+        else:
+            nxt = inc.get(pos, {}).get(-a)
+            edge, sign = (nxt, -a, pos), -1
+        if nxt is None:
+            return None
+        if edge in index:
+            letters.append(sign * (index[edge] + 1))
+        pos = nxt
+    return Word(letters) if pos == 0 else None
+
+
+def fiber_product_edges(ga: CoreGraph, gb: CoreGraph) -> set:
+    """Edges of the component of (0, 0) in the product of two graphs, unpruned."""
+    out_a, inc_a = _two_tables(ga.edges)
+    out_b, inc_b = _two_tables(gb.edges)
+    seen = {(0, 0): 0}
+    queue = [(0, 0)]
+    edges = set()
+    for a, b in queue:  # grows while it is read
+        pid = seen[a, b]
+        for forward, ta, tb in (
+            (True, out_a.get(a, {}), out_b.get(b, {})),
+            (False, inc_a.get(a, {}), inc_b.get(b, {})),
+        ):
+            for l, x in ta.items():
+                y = tb.get(l)
+                if y is None:
+                    continue
+                if (x, y) not in seen:
+                    seen[x, y] = len(seen)
+                    queue.append((x, y))
+                nid = seen[x, y]
+                edges.add((pid, l, nid) if forward else (nid, l, pid))
+    return edges

@@ -3,10 +3,13 @@
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import freecomm
 from freecomm import (
@@ -422,3 +425,47 @@ def test_document_round_trip_by_equals(tmp_path):
     again = write_doc(tmp_path / "again.json", json.loads(out))
     code, out, _ = invoke("subgroup", "equals", staged, again)
     assert (code, out.strip()) == (0, "true")
+
+
+def readme_commands():
+    """[command, printed lines] for each `$` line in the README's sh blocks.
+
+    A line ending in a backslash continues on the next; the lines up to
+    the next `$` line or the end of the block, less trailing blank ones,
+    are what the command prints.
+    """
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S):
+        listed: list = []
+        for line in block.splitlines():
+            if line.startswith("$ "):
+                listed.append([line[2:], []])
+            elif listed and listed[-1][0].endswith("\\") and not listed[-1][1]:
+                listed[-1][0] += "\n" + line
+            elif listed:
+                listed[-1][1].append(line)
+        for command, printed in listed:
+            while printed and not printed[-1].strip():
+                printed.pop()
+        commands += listed
+    return commands
+
+
+def test_readme_cli_examples(tmp_path):
+    # freecomm is the console script; /tmp becomes the test's own directory
+    src = os.path.dirname(os.path.dirname(freecomm.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    prelude = f'freecomm() {{ {shlex.quote(sys.executable)} -m freecomm.cli "$@"; }}\n'
+    commands = readme_commands()
+    assert len(commands) >= 12
+    for command, printed in commands:
+        script = prelude + command.replace("/tmp/", f"{tmp_path}/")
+        result = subprocess.run(
+            ["bash", "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60
+        )
+        if printed:
+            assert result.stdout.splitlines() == printed, command
+        else:
+            # the README's silent commands write a file or pass every check
+            assert result.returncode == 0, (command, result.stderr)

@@ -216,6 +216,12 @@ def test_kernel_mod_p_imperfect_image():
     assert k.contains(parse_word("aa"))
     assert k.contains(parse_word("b"))
     assert not k.contains(parse_word("a"))
+    # negative weights with gcd(p, weights) = 2: the image is 2Z/6Z, of size 3
+    k = kernel_mod_p(2, (-2, 4), 6)
+    assert k.index() == 3
+    assert k.contains(parse_word("aaa")) and k.contains(parse_word("aab"))
+    assert not k.contains(parse_word("b"))
+    assert k == from_generators(2, k.basis.elements)
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6))
