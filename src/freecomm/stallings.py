@@ -5,21 +5,25 @@ graph: a based, edge-labeled digraph in which words trace paths (letter
 +l follows the l-labeled edge forward, -l backward) and membership in H
 is "traces a closed loop at the basepoint".  Every walk reads one table:
 adj[v][a] is where the signed letter a leads from v, listed at each
-vertex in scan order +1, -1, +2, -2, ...  The graph is kept in canonical
-form (breadth-first numbering from the basepoint, in scan order), so two
-subgroups are equal exactly when their graphs compare equal.
+vertex in scan order +1, -1, +2, -2, ...  The folder keeps the same
+table on its union-find roots, so folding walks it the same way.  The
+graph is kept in canonical form (breadth-first numbering from the
+basepoint, in scan order), so two subgroups are equal exactly when their
+graphs compare equal.
 
 Finite index corresponds to the graph being a cover (every vertex has
 all 2·rank letters); the index is then the vertex count.  Graph
 constructions fail fast once the graph they build would exceed a
 configurable vertex cap (FREECOMM_INDEX_CAP, default 10 000); folding
-counts the live vertices of the folded graph.
+counts the live vertices of the folded graph, and a graph document is
+held to the cap too.
 
 Folding optionally carries witness words: each vertex and edge remembers
-how it was reached as a product of the input generators, which yields,
-for any word of the subgroup, an explicit expression over the original
-generating set.  This uses a weighted union-find, so corrections from
-vertex identifications compose automatically.
+how it was reached as a product of the input generators (the two halves
+of an edge carry inverse witnesses), which yields, for any word of the
+subgroup, an explicit expression over the original generating set.  This
+uses a weighted union-find, so corrections from vertex identifications
+compose automatically.
 
 All public objects are immutable; operations return new values.
 """
@@ -117,10 +121,6 @@ class CoreGraph:
         table = _adjacency(self.basepoint, self.edges)
         return tuple(table.get(v, {}) for v in range(self.num_vertices))
 
-    def step(self, vertex: int, letter: int) -> Optional[int]:
-        """Follow one letter from a vertex; None if the edge is missing."""
-        return self.adj[vertex].get(letter)
-
     def trace(self, vertex: int, w: Word) -> Optional[int]:
         """Endpoint of the path spelling w from vertex, or None if it leaves."""
         adj = self.adj
@@ -197,24 +197,23 @@ def canonical_form(graph: CoreGraph) -> CoreGraph:
 # ---------------------------------------------------------------------------
 # folding
 
-# The folder identifies vertices until no vertex has two same-labeled
-# edges in the same direction.  With witness tracking on, every vertex
-# carries a "potential" word over the input generator alphabet relating
-# it to its union-find parent, and every stored edge carries the witness
-# of its traversal; identifications then need no global rewriting.
+# The folder identifies vertices until no vertex has two edges under one
+# signed letter.  It keeps the core-graph table on its union-find roots:
+# adj[r][a] = (target id, witness), and the half under -a at the target's
+# root carries the inverse witness.  With witness tracking on, every vertex
+# carries a "potential" word over the generator alphabet relating it to its
+# union-find parent, so identifications need no global rewriting.
 
 
 class _FoldGraph:
-    def __init__(self, rank: int, op: str, witness: bool = False):
-        self.rank = rank
+    def __init__(self, op: str, witness: bool = False):
         self.op = op  # named by the vertex cap error
         self.witness = witness
         self.cap = vertex_cap()
         self.live = 0  # union-find roots, the vertices of the folded graph
         self.parent: list[int] = []
         self.pot: list[Optional[Word]] = []
-        self.out: list[dict] = []  # per root: label -> (target id, witness)
-        self.inc: list[dict] = []  # per root: label -> source id
+        self.adj: list[dict] = []  # per root: signed letter -> (target id, witness)
         self.pending: deque = deque()
 
     # -- union-find with potentials
@@ -231,16 +230,11 @@ class _FoldGraph:
         self.live += count
         self.parent.extend(range(first, first + count))
         self.pot.extend([EPSILON if self.witness else None] * count)
-        self.out.extend({} for _ in range(count))
-        self.inc.extend({} for _ in range(count))
+        self.adj.extend({} for _ in range(count))
         return first
 
     def new_vertex(self) -> int:
         return self._grow(1)
-
-    def step(self, root: int, a: int) -> Optional[int]:
-        """The vertex id the signed letter a leads to from a root, or None."""
-        return self.out[root].get(a, (None,))[0] if a > 0 else self.inc[root].get(-a)
 
     def find(self, x: int) -> int:
         root = x
@@ -285,44 +279,22 @@ class _FoldGraph:
             else:
                 self._merge(*item[1:])
 
-    def _insert(self, u: int, letter: int, v: int, aux: Optional[Word]) -> None:
+    def _insert(self, u: int, a: int, v: int, aux: Optional[Word]) -> None:
         ur, pu = self._pot_of(u)
         vr, pv = self._pot_of(v)
-        if self.witness:
-            eff = concat(concat(invert(pu), aux), pv)
-        else:
-            eff = None
-        cur = self.out[ur].get(letter)
-        if cur is not None:
-            t_id, a1 = cur
-            t1r, pt = self._pot_of(t_id)
-            alpha = concat(a1, pt) if self.witness else None
-            self.out[ur][letter] = (t1r, alpha)
-            if t1r == vr:
-                return  # parallel duplicate; the stored witness stays
-            # fold the two targets together
-            gamma = concat(invert(eff), alpha) if self.witness else None
-            self.pending.append(("m", vr, t1r, gamma))
-            return
-        cin = self.inc[vr].get(letter)
-        if cin is not None:
-            s1r, ps = self._pot_of(cin)
-            self.inc[vr][letter] = s1r
-            entry = self.out[s1r][letter]
-            t_id, a1 = entry
-            if self.witness:
-                _, pt = self._pot_of(t_id)
-                alpha = concat(a1, pt)
-            else:
-                alpha = None
-            if s1r == ur:
-                return  # same edge slot; nothing new
-            # fold the two sources together
-            gamma = concat(eff, invert(alpha)) if self.witness else None
-            self.pending.append(("m", ur, s1r, gamma))
-            return
-        self.out[ur][letter] = (vr, eff)
-        self.inc[vr][letter] = ur
+        eff = concat(concat(invert(pu), aux), pv) if self.witness else None
+        back = invert(eff) if self.witness else None
+        for x, b, y, e in ((ur, a, vr, eff), (vr, -a, ur, back)):
+            cur = self.adj[x].get(b)
+            if cur is not None:
+                t_id, w = cur
+                tr, pt = self._pot_of(t_id)
+                if tr != y:  # else a parallel duplicate; the stored witness stays
+                    gamma = concat(invert(e), concat(w, pt)) if self.witness else None
+                    self.pending.append(("m", y, tr, gamma))
+                return
+        self.adj[ur][a] = (vr, eff)
+        self.adj[vr][-a] = (ur, back)
 
     def _merge(self, x: int, y: int, gamma: Optional[Word]) -> None:
         xr, px = self._pot_of(x)
@@ -331,38 +303,21 @@ class _FoldGraph:
             return
         g = concat(concat(invert(px), gamma), py) if self.witness else None
         # keep the vertex with more edges live
-        if len(self.out[xr]) + len(self.inc[xr]) > len(self.out[yr]) + len(self.inc[yr]):
+        if len(self.adj[xr]) > len(self.adj[yr]):
             xr, yr = yr, xr
             g = invert(g) if self.witness else None
-        # detach the dead vertex's edges (both sides) before re-rooting,
-        # while find() still reports xr as its own root
-        dead_out = self.out[xr]
-        dead_inc = self.inc[xr]
-        self.out[xr] = {}
-        self.inc[xr] = {}
+        # detach the dead root's halves and their mirrors while find() still
+        # reports xr as a root; a loop's mirror is in dead, so it goes once
+        dead = self.adj[xr]
         ginv = invert(g) if self.witness else None
-        requeue = []
-        for l, (t_id, a) in dead_out.items():
-            tr = self.find(t_id)
-            if tr != xr:
-                back = self.inc[tr].get(l)
-                if back is not None and self.find(back) == xr:
-                    del self.inc[tr][l]
-            requeue.append(("e", yr, l, t_id, concat(ginv, a) if self.witness else None))
-        for l, s_id in dead_inc.items():
-            sr = self.find(s_id)
-            if sr == xr:
-                continue  # self-loop, already queued above
-            entry = self.out[sr].pop(l, None)
-            if entry is None:
-                continue
-            t_id, a = entry
-            requeue.append(("e", sr, l, t_id, a))
+        while dead:
+            b, (t_id, w) = dead.popitem()
+            del self.adj[self.find(t_id)][-b]
+            self.pending.append(("e", yr, b, t_id, concat(ginv, w) if self.witness else None))
         self.parent[xr] = yr
         self.live -= 1
         if self.witness:
             self.pot[xr] = g
-        self.pending.extend(requeue)
 
     # -- building blocks
 
@@ -374,13 +329,14 @@ class _FoldGraph:
         the unread middle gets fresh vertices.  The middle folds with
         nothing, as each trace stopped at a free slot, unless its two ends
         are one vertex and its first and last letters are inverse.  When
-        the traces meet, their two ends are merged instead.  Folding is confluent, so the result is the graph
-        that attaching the whole petal and folding it would give.
+        the traces meet, their two ends are merged instead.  Folding is
+        confluent, so the result is the graph that attaching the whole
+        petal and folding it would give.
         """
         n = len(w)
         if not n:
             return
-        parent, out, inc = self.parent, self.out, self.inc
+        parent, adj = self.parent, self.adj
         if self.witness:
             acc_f: list[int] = []  # base frame -> root frame of u
             acc_b: list[int] = []  # base frame -> root frame of v, along w backward
@@ -393,30 +349,19 @@ class _FoldGraph:
             u = self.find(base)
             i = 0
             for a in w:
-                if a > 0:
-                    e = out[u].get(a)
-                    if e is None:
-                        break
-                    t = e[0]
-                else:
-                    t = inc[u].get(-a)
-                    if t is None:
-                        break
+                e = adj[u].get(a)
+                if e is None:
+                    break
+                t = e[0]
                 u = t if parent[t] == t else self.find(t)
                 i += 1
             v = self.find(base)
             j = n
             while j > i:
-                a = w[j - 1]
-                if a > 0:
-                    t = inc[v].get(a)
-                    if t is None:
-                        break
-                else:
-                    e = out[v].get(-a)
-                    if e is None:
-                        break
-                    t = e[0]
+                e = adj[v].get(-w[j - 1])
+                if e is None:
+                    break
+                t = e[0]
                 v = t if parent[t] == t else self.find(t)
                 j -= 1
             mid = None
@@ -431,27 +376,21 @@ class _FoldGraph:
             a = w[k]
             nxt = first + k - i
             aux = (mid if k == i else EPSILON) if self.witness else None
-            if a > 0:
-                out[pos][a] = (nxt, aux)
-                inc[nxt][a] = pos
-            else:
-                out[nxt][-a] = (pos, invert(aux) if self.witness else None)
-                inc[pos][-a] = nxt
+            adj[pos][a] = (nxt, aux)
+            adj[nxt][-a] = (pos, invert(aux) if self.witness else None)
             pos = nxt
         # the last edge goes through the folder, for that one case
-        a = w[j - 1]
         aux = (mid if j - i == 1 else EPSILON) if self.witness else None
-        if a > 0:
-            self.add_edge(pos, a, v, aux)
-        else:
-            self.add_edge(v, -a, pos, invert(aux) if self.witness else None)
+        self.add_edge(pos, w[j - 1], v, aux)
 
     def folded_edges(self, base: int) -> tuple[int, set]:
-        roots = [v for v in range(len(self.parent)) if self.find(v) == v]
+        """The folded graph's basepoint and edges (source, label, target),
+        read off the positive halves."""
         edges = set()
-        for r in roots:
-            for l, (t_id, _a) in self.out[r].items():
-                edges.add((r, l, self.find(t_id)))
+        for r, halves in enumerate(self.adj):
+            for a, (t_id, _w) in halves.items():
+                if a > 0:
+                    edges.add((r, a, self.find(t_id)))
         return self.find(base), edges
 
     # -- witness tracing
@@ -465,26 +404,12 @@ class _FoldGraph:
         read = 0
         for a in letters:
             r, pp = self.find_pot(pos)
-            l = abs(a)
-            if a > 0:
-                entry = self.out[r].get(l)
-                if entry is None:
-                    break
-                t_id, ea = entry
-                acc.extend(pp)
-                acc.extend(ea)
-                pos = t_id
-            else:
-                s_id = self.inc[r].get(l)
-                if s_id is None:
-                    break
-                sr, _ = self.find_pot(s_id)
-                t_id, ea = self.out[sr][l]
-                _, pt = self.find_pot(t_id)
-                # step backward: undo the edge witness, land in the source frame
-                acc.extend(pp)
-                acc.extend(invert(concat(ea, pt)))
-                pos = sr
+            entry = self.adj[r].get(a)
+            if entry is None:
+                break
+            pos, ea = entry
+            acc.extend(pp)
+            acc.extend(ea)
             read += 1
         r, pp = self.find_pot(pos)
         acc.extend(pp)
@@ -505,7 +430,7 @@ class _FoldGraph:
 
 
 def _build_bouquet(rank: int, gens: Sequence[Word], witness: bool) -> _FoldGraph:
-    fg = _FoldGraph(rank, "witness_expresser" if witness else "from_generators", witness)
+    fg = _FoldGraph("witness_expresser" if witness else "from_generators", witness)
     base = fg.new_vertex()
     for i, g in enumerate(gens):
         if max_generator(g) > rank:
@@ -544,7 +469,6 @@ class Basis:
     """A free basis read off a core graph's canonical spanning tree."""
 
     elements: tuple[Word, ...]
-    tree_edges: frozenset
 
 
 @dataclass(frozen=True)
@@ -603,15 +527,14 @@ class Subgroup:
         and the tree path back from v.  Neither seam can cancel, as the
         edge would then be the tree edge at u or at v, so it is reduced.
         """
-        paths, tree = self._tree
+        paths = self._tree[0]
         g = self.graph
         elements = tuple(
             tuple.__new__(Word, paths[u] + (l,) + invert(paths[g.adj[u][l]]))
             for (u, l), i in self._basis_index.items()
             if i > 0
         )
-        tree_edges = frozenset(e for e in g.edges if e[:2] in tree)
-        return Basis(elements=elements, tree_edges=tree_edges)
+        return Basis(elements=elements)
 
     def express_in_basis(self, w: Word) -> Word:
         """Rewrite w (which must lie in this subgroup) over the canonical basis.
@@ -729,11 +652,10 @@ def join(h: Subgroup, k: Subgroup) -> Subgroup:
     live count follows the folded join rather than the wedge of the two.
     """
     rank = _require_same_rank(h, k)
-    fg = _FoldGraph(rank, "join")
+    fg = _FoldGraph("join")
     fg._grow(h.graph.num_vertices)
-    for u, l, v in h.graph.edges:
-        fg.out[u][l] = (v, None)
-        fg.inc[v][l] = u
+    for halves, letters in zip(fg.adj, h.graph.adj):
+        halves.update((a, (v, None)) for a, v in letters.items())
     gk = k.graph
     place = {0: 0}  # vertex of K -> vertex of the fold
     queue = [0]
@@ -741,13 +663,12 @@ def join(h: Subgroup, k: Subgroup) -> Subgroup:
         for a, y in gk.adj[x].items():
             u = fg.find(place[x])
             if y not in place:
-                t = fg.step(u, a)
-                place[y] = fg.new_vertex() if t is None else t
+                e = fg.adj[u].get(a)
+                place[y] = fg.new_vertex() if e is None else e[0]
                 queue.append(y)
-                if t is not None:
+                if e is not None:
                     continue  # the edge is there already
-            v = place[y]
-            fg.add_edge(*((u, a, v) if a > 0 else (v, -a, u)))
+            fg.add_edge(u, a, place[y])
     base, edges = fg.folded_edges(0)
     return _make_subgroup(rank, base, edges)
 
@@ -910,7 +831,8 @@ def graph_from_document(doc) -> CoreGraph:
 
     Raises DocumentError naming the violated invariant: malformed rows,
     labels out of range, unfolded or disconnected graphs, and dangling
-    non-basepoint vertices are all rejected.
+    non-basepoint vertices are all rejected.  A graph with more vertices
+    than the vertex cap raises IndexCapError.
     """
     if not isinstance(doc, dict):
         raise DocumentError("graph document must be an object")
@@ -948,6 +870,12 @@ def graph_from_document(doc) -> CoreGraph:
             raise DocumentError(f"not folded: vertex {v} has two incoming edges labeled {l}")
         half_edges.update(((u, l), (v, -l)))
     adj = _adjacency(basepoint, edges)
+    cap = vertex_cap()
+    if len(adj) > cap:
+        raise IndexCapError(
+            f"graph document: {len(adj)} vertices exceed the vertex cap ({cap}); "
+            f"raise {VERTEX_CAP_ENV} to allow larger graphs"
+        )
     number, _, _ = _bfs(basepoint, adj)
     if len(number) < len(adj):
         raise DocumentError("not connected: some vertex is unreachable from the basepoint")

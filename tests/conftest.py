@@ -2,7 +2,7 @@
 
 import pytest
 
-from freecomm import commensurator
+from freecomm import EPSILON, Word, commensurator, stallings
 from freecomm.errors import FreecommError
 
 
@@ -31,3 +31,59 @@ def validate_internal_isos():
     commensurator._iso = checked
     yield
     commensurator._iso = built
+
+
+def _root_and_potential(fg, x):
+    """Root of x and the letters of its potential, read without compressing."""
+    letters = []
+    while fg.parent[x] != x:
+        if fg.witness:
+            letters.extend(fg.pot[x])
+        x = fg.parent[x]
+    return x, letters
+
+
+def _check_fold_table(fg):
+    roots = [r for r in range(len(fg.parent)) if fg.parent[r] == r]
+    assert fg.live == len(roots), f"live is {fg.live} with {len(roots)} roots"
+    for r, halves in enumerate(fg.adj):
+        assert not halves or fg.parent[r] == r, f"vertex {r} is no root but keeps halves"
+        for a, (t, w) in halves.items():
+            tr, pt = _root_and_potential(fg, t)
+            mirror = fg.adj[tr].get(-a)
+            assert mirror is not None, f"half ({r}, {a}) has no mirror at {tr}"
+            s, w2 = mirror
+            sr, ps = _root_and_potential(fg, s)
+            assert sr == r, f"the mirror of half ({r}, {a}) leads to {sr}"
+            if fg.witness:
+                loop = Word(list(w) + pt + list(w2) + ps)
+                assert loop == EPSILON, f"the witnesses of half ({r}, {a}) do not cancel"
+
+
+@pytest.fixture(autouse=True, scope="session")
+def check_fold_tables():
+    """Check the folder's table whenever a fold is finished or read.
+
+    Every half adj[r][a] = (t, w) has its mirror at the root of t under
+    -a, leading back to a vertex whose root is r; in witness mode the two
+    witnesses, joined by the potentials of their targets, reduce to the
+    empty word; and live counts the roots.  Potentials are read without
+    path compression, so the check changes no state of the fold.
+    """
+    build = stallings._build_bouquet
+    read = stallings._FoldGraph.folded_edges
+
+    def checked_build(rank, gens, witness):
+        fg = build(rank, gens, witness)
+        _check_fold_table(fg)
+        return fg
+
+    def checked_read(fg, base):
+        _check_fold_table(fg)
+        return read(fg, base)
+
+    stallings._build_bouquet = checked_build
+    stallings._FoldGraph.folded_edges = checked_read
+    yield
+    stallings._build_bouquet = build
+    stallings._FoldGraph.folded_edges = read

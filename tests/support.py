@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import Optional, Sequence
+from collections import deque
+from typing import Iterable, Optional, Sequence
 
 from freecomm import (
     EPSILON,
     CoreGraph,
+    IndexCapError,
     PartialIso,
     RankMismatchError,
     Subgroup,
@@ -30,7 +32,7 @@ from freecomm import (
     whole_group,
     witness_expresser,
 )
-from freecomm.stallings import _FoldGraph, _make_subgroup
+from freecomm.stallings import VERTEX_CAP_ENV, _make_subgroup, vertex_cap
 
 
 def random_word(rng: random.Random, rank: int, max_len: int = 8) -> Word:
@@ -196,13 +198,233 @@ def lattice_by_joins(h: Subgroup) -> tuple[list[Subgroup], int]:
     raise AssertionError("the minimax search never reached the whole group")
 
 
-def _fold_letter_by_letter(rank: int, gens: Sequence[Word], witness: bool) -> _FoldGraph:
+# Reference folder: two tables per root, out[root][label] = (target id,
+# witness) and inc[root][label] = source id, with a mirrored branch per
+# direction in each helper.  This is how the library folded before it kept
+# one table keyed by signed letters; the letter-by-letter fold and the
+# wedge join below run on it, so the tests compare the two folders.
+
+
+class TwoTableFoldGraph:
+    def __init__(self, op: str, witness: bool = False):
+        self.op = op  # named by the vertex cap error
+        self.witness = witness
+        self.cap = vertex_cap()
+        self.live = 0  # union-find roots, the vertices of the folded graph
+        self.parent: list[int] = []
+        self.pot: list[Optional[Word]] = []
+        self.out: list[dict] = []  # per root: label -> (target id, witness)
+        self.inc: list[dict] = []  # per root: label -> source id
+        self.pending: deque = deque()
+
+    # -- union-find with potentials
+
+    def _grow(self, count: int) -> int:
+        """Allocate count fresh root vertices; returns the first id."""
+        if self.live + count > self.cap:
+            raise IndexCapError(
+                f"{self.op}: the folded graph would exceed the vertex cap ({self.cap}) "
+                f"with {self.live + count} live vertices ({len(self.parent) + count} "
+                f"allocated); raise {VERTEX_CAP_ENV} to allow larger graphs"
+            )
+        first = len(self.parent)
+        self.live += count
+        self.parent.extend(range(first, first + count))
+        self.pot.extend([EPSILON if self.witness else None] * count)
+        self.out.extend({} for _ in range(count))
+        self.inc.extend({} for _ in range(count))
+        return first
+
+    def new_vertex(self) -> int:
+        return self._grow(1)
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def find_pot(self, x: int) -> tuple[int, Word]:
+        """Root of x and the witness relating x's frame to the root's."""
+        chain = []
+        while self.parent[x] != x:
+            chain.append(x)
+            x = self.parent[x]
+        root = x
+        for y in reversed(chain):
+            p = self.parent[y]
+            if p != root:
+                self.pot[y] = concat(self.pot[y], self.pot[p])
+                self.parent[y] = root
+        return root, (self.pot[chain[0]] if chain else EPSILON)
+
+    def _pot_of(self, x: int) -> tuple[int, Word]:
+        if self.witness:
+            return self.find_pot(x)
+        return self.find(x), EPSILON
+
+    # -- edge insertion and folding
+
+    def add_edge(self, u: int, letter: int, v: int, aux: Optional[Word] = None) -> None:
+        if self.witness and aux is None:
+            aux = EPSILON
+        self.pending.append(("e", u, letter, v, aux))
+        self._drain()
+
+    def _drain(self) -> None:
+        while self.pending:
+            item = self.pending.popleft()
+            if item[0] == "e":
+                self._insert(*item[1:])
+            else:
+                self._merge(*item[1:])
+
+    def _insert(self, u: int, letter: int, v: int, aux: Optional[Word]) -> None:
+        ur, pu = self._pot_of(u)
+        vr, pv = self._pot_of(v)
+        if self.witness:
+            eff = concat(concat(invert(pu), aux), pv)
+        else:
+            eff = None
+        cur = self.out[ur].get(letter)
+        if cur is not None:
+            t_id, a1 = cur
+            t1r, pt = self._pot_of(t_id)
+            alpha = concat(a1, pt) if self.witness else None
+            self.out[ur][letter] = (t1r, alpha)
+            if t1r == vr:
+                return  # parallel duplicate; the stored witness stays
+            # fold the two targets together
+            gamma = concat(invert(eff), alpha) if self.witness else None
+            self.pending.append(("m", vr, t1r, gamma))
+            return
+        cin = self.inc[vr].get(letter)
+        if cin is not None:
+            s1r, ps = self._pot_of(cin)
+            self.inc[vr][letter] = s1r
+            entry = self.out[s1r][letter]
+            t_id, a1 = entry
+            if self.witness:
+                _, pt = self._pot_of(t_id)
+                alpha = concat(a1, pt)
+            else:
+                alpha = None
+            if s1r == ur:
+                return  # same edge slot; nothing new
+            # fold the two sources together
+            gamma = concat(eff, invert(alpha)) if self.witness else None
+            self.pending.append(("m", ur, s1r, gamma))
+            return
+        self.out[ur][letter] = (vr, eff)
+        self.inc[vr][letter] = ur
+
+    def _merge(self, x: int, y: int, gamma: Optional[Word]) -> None:
+        xr, px = self._pot_of(x)
+        yr, py = self._pot_of(y)
+        if xr == yr:
+            return
+        g = concat(concat(invert(px), gamma), py) if self.witness else None
+        # keep the vertex with more edges live
+        if len(self.out[xr]) + len(self.inc[xr]) > len(self.out[yr]) + len(self.inc[yr]):
+            xr, yr = yr, xr
+            g = invert(g) if self.witness else None
+        # detach the dead vertex's edges (both sides) before re-rooting,
+        # while find() still reports xr as its own root
+        dead_out = self.out[xr]
+        dead_inc = self.inc[xr]
+        self.out[xr] = {}
+        self.inc[xr] = {}
+        ginv = invert(g) if self.witness else None
+        requeue = []
+        for l, (t_id, a) in dead_out.items():
+            tr = self.find(t_id)
+            if tr != xr:
+                back = self.inc[tr].get(l)
+                if back is not None and self.find(back) == xr:
+                    del self.inc[tr][l]
+            requeue.append(("e", yr, l, t_id, concat(ginv, a) if self.witness else None))
+        for l, s_id in dead_inc.items():
+            sr = self.find(s_id)
+            if sr == xr:
+                continue  # self-loop, already queued above
+            entry = self.out[sr].pop(l, None)
+            if entry is None:
+                continue
+            t_id, a = entry
+            requeue.append(("e", sr, l, t_id, a))
+        self.parent[xr] = yr
+        self.live -= 1
+        if self.witness:
+            self.pot[xr] = g
+        self.pending.extend(requeue)
+
+    def folded_edges(self, base: int) -> tuple[int, set]:
+        roots = [v for v in range(len(self.parent)) if self.find(v) == v]
+        edges = set()
+        for r in roots:
+            for l, (t_id, _a) in self.out[r].items():
+                edges.add((r, l, self.find(t_id)))
+        return self.find(base), edges
+
+    # -- witness tracing
+
+    def _walk(self, pos: int, letters: Iterable[int], acc: list) -> tuple[int, int]:
+        """Follow letters from pos until an edge is missing (witness mode).
+
+        Returns the root reached and the number of letters read; acc gets
+        the witness from pos's frame to that root's frame, unreduced.
+        """
+        read = 0
+        for a in letters:
+            r, pp = self.find_pot(pos)
+            l = abs(a)
+            if a > 0:
+                entry = self.out[r].get(l)
+                if entry is None:
+                    break
+                t_id, ea = entry
+                acc.extend(pp)
+                acc.extend(ea)
+                pos = t_id
+            else:
+                s_id = self.inc[r].get(l)
+                if s_id is None:
+                    break
+                sr, _ = self.find_pot(s_id)
+                t_id, ea = self.out[sr][l]
+                _, pt = self.find_pot(t_id)
+                # step backward: undo the edge witness, land in the source frame
+                acc.extend(pp)
+                acc.extend(invert(concat(ea, pt)))
+                pos = sr
+            read += 1
+        r, pp = self.find_pot(pos)
+        acc.extend(pp)
+        return r, read
+
+    def express(self, base: int, w: Word) -> Optional[Word]:
+        """A word over the generator alphabet mapping onto w, or None.
+
+        Requires witness mode.  Returns None when w is not in the
+        subgroup the folded graph represents.
+        """
+        acc: list[int] = []
+        end, read = self._walk(base, w, acc)
+        br, pb = self.find_pot(base)
+        if read < len(w) or end != br:
+            return None
+        return concat(Word(acc), invert(pb))
+
+
+def _fold_letter_by_letter(gens: Sequence[Word], witness: bool) -> TwoTableFoldGraph:
     """Reference bouquet fold: one fresh vertex per letter, folded edge by edge.
 
     This is how the library folded before it read each generator against
     the graph built so far; generator i carries the witness Word((i + 1,)).
     """
-    fg = _FoldGraph(rank, "letter-by-letter reference", witness)
+    fg = TwoTableFoldGraph("letter-by-letter reference", witness)
     base = fg.new_vertex()
     for i, w in enumerate(gens):
         pos = base
@@ -219,13 +441,13 @@ def _fold_letter_by_letter(rank: int, gens: Sequence[Word], witness: bool) -> _F
 
 def from_generators_by_letters(rank: int, gens: Sequence[Word]) -> Subgroup:
     """Reference from_generators over the letter-by-letter fold."""
-    base, edges = _fold_letter_by_letter(rank, gens, False).folded_edges(0)
+    base, edges = _fold_letter_by_letter(gens, False).folded_edges(0)
     return _make_subgroup(rank, base, edges)
 
 
 def expresser_by_letters(rank: int, gens: Sequence[Word]):
     """Reference witness_expresser over the letter-by-letter fold."""
-    fg = _fold_letter_by_letter(rank, gens, True)
+    fg = _fold_letter_by_letter(gens, True)
     return lambda w: fg.express(0, w)
 
 
@@ -235,7 +457,7 @@ def join_by_wedge(h: Subgroup, k: Subgroup) -> Subgroup:
     This is how the library joined before it placed K's vertices as it
     read K's edges; it allocates every vertex of both graphs up front.
     """
-    fg = _FoldGraph(h.rank, "wedge reference")
+    fg = TwoTableFoldGraph("wedge reference")
     ids_h = [fg.new_vertex() for _ in range(h.graph.num_vertices)]
     ids_k = [ids_h[0] if v == 0 else fg.new_vertex() for v in range(k.graph.num_vertices)]
     for u, l, v in h.graph.edges:

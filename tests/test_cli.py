@@ -385,6 +385,23 @@ def test_closed_stdout_exits_quietly():
     assert err == b""
 
 
+def test_graph_documents_are_held_to_the_cap(tmp_path):
+    n = 20_001
+    cycle = {"rank": 1, "basepoint": 0, "edges": [[v, (v + 1) % n, 1] for v in range(n)]}
+    big = write_doc(tmp_path / "big.json", cycle)
+    src = os.path.dirname(os.path.dirname(freecomm.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "FREECOMM_INDEX_CAP"}
+    env["PYTHONPATH"] = src
+    argv = [sys.executable, "-m", "freecomm.cli", "subgroup", "index", big]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "graph document: 20001 vertices exceed the vertex cap (10000)" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    env["FREECOMM_INDEX_CAP"] = str(n)
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "20001\n", "")
+
+
 def test_kernel_rejects_trivial_weights():
     code, _, err = invoke("subgroup", "kernel", "--rank", "2", "--weights", "2,4", "--p", "2")
     assert code == 2

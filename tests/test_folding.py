@@ -1,5 +1,6 @@
-"""Read-before-write folding against the letter-by-letter reference fold,
-and the vertex cap on the folded graph."""
+"""Read-before-write folding on one signed-letter table against the
+letter-by-letter fold of the two-table reference folder, and the vertex cap
+on the folded graph."""
 
 import random
 import time

@@ -1,4 +1,5 @@
-"""The overgroup lattice: overgroups and subindex against the folding reference."""
+"""The overgroup lattice: overgroups and subindex against the folding
+reference, and join against the wedge folded by the two-table reference folder."""
 
 import random
 

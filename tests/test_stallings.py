@@ -416,6 +416,20 @@ def test_document_rejects_booleans():
             graph_from_document({**good, "edges": [row]})
 
 
+def test_document_is_held_to_the_vertex_cap(monkeypatch):
+    # a rank-1 cycle: the subgroup generated by a^20001, of index 20001
+    n = 20_001
+    doc = {"rank": 1, "basepoint": 0, "edges": [[v, (v + 1) % n, 1] for v in range(n)]}
+    monkeypatch.delenv("FREECOMM_INDEX_CAP", raising=False)
+    with pytest.raises(IndexCapError, match=r"^graph document: 20001 vertices exceed the vertex cap \(10000\)"):
+        graph_from_document(doc)
+    monkeypatch.setenv("FREECOMM_INDEX_CAP", str(n - 1))
+    with pytest.raises(IndexCapError):
+        graph_from_document(doc)
+    monkeypatch.setenv("FREECOMM_INDEX_CAP", str(n))
+    assert Subgroup(graph_from_document(doc)).index() == n
+
+
 def test_dot_export_marks_basepoint():
     dot = graph_to_dot(kernel_mod_p(2, (1, 0), 2).graph)
     assert dot.startswith("digraph")
