@@ -24,16 +24,15 @@ from typing import Optional, Sequence, Union
 
 from .errors import (
     DocumentError,
-    IndexCapError,
     InvalidIsoError,
     NotInSubgroupError,
     RankMismatchError,
 )
 from .stallings import (
-    VERTEX_CAP_ENV,
     Subgroup,
-    _canonical,
+    _component,
     _is_int,
+    _require_same_rank,
     from_generators,
     graph_from_document,
     graph_to_document,
@@ -43,12 +42,10 @@ from .stallings import (
     kernel_mod_p,
     rewrite_over_basis,
     subindex,
-    vertex_cap,
     whole_group,
     witness_expresser,
 )
 from .words import (
-    EPSILON,
     Word,
     _quoted,
     apply_hom,
@@ -124,12 +121,9 @@ def make_iso(domain: Subgroup, codomain: Subgroup, images: Sequence[Word]) -> Pa
     (a rank-preserving surjection between free groups of equal finite
     rank is an isomorphism, so these checks certify bijectivity).
     """
-    if domain.rank != codomain.rank:
-        raise RankMismatchError(
-            f"mixed ambient ranks {domain.rank} and {codomain.rank}"
-        )
-    if domain.index() is math.inf or codomain.index() is math.inf:
-        raise InvalidIsoError("domain and codomain must have finite index")
+    _require_same_rank(domain, codomain)
+    _require_finite_index(domain)
+    _require_finite_index(codomain)
     images = tuple(Word(w) for w in images)
     dom_basis = domain.basis.elements
     if len(images) != len(dom_basis):
@@ -150,7 +144,8 @@ def make_iso(domain: Subgroup, codomain: Subgroup, images: Sequence[Word]) -> Pa
 
 
 def _require_equal_rank(m: int, codomain: Subgroup) -> None:
-    r = len(codomain.basis.elements)
+    g = codomain.graph
+    r = len(g.edges) - g.num_vertices + 1  # edges off a spanning tree
     if m != r:
         raise InvalidIsoError(
             f"rank drop: domain has rank {m} but codomain has rank {r}; "
@@ -199,31 +194,30 @@ def _pull_back(alpha: PartialIso, k: Subgroup) -> Subgroup:
     edge off the domain's spanning tree moves a coset along image i, and
     a tree edge leaves it in place.  The preimage is the stabilizer of K,
     so its graph is the component of (basepoint, K) in the product of the
-    domain's graph with that action.  Both are covers, hence so is the
-    product: it is folded, and outgoing edges alone reach all of it.
+    domain's graph with that action: the walk of intersect, with the
+    second coordinate twisted.  Both are covers, hence so is the product,
+    and outgoing edges alone reach all of it.
     """
-    g, kg, index = alpha.domain.graph, k.graph, alpha.domain._basis_index
-    cap = vertex_cap()
-    seen = {(0, 0): 0}
-    queue = [(0, 0)]
-    edges = []
-    for v, c in queue:  # grows while it is read
-        pid = seen[v, c]
+    g, index, images = alpha.domain.graph, alpha.domain._basis_index, alpha.images
+    adj, trace = g.adj, k.graph.trace
+
+    def step(pair):
+        v, c = pair
+        moves = []
         for l in range(1, alpha.rank + 1):
             i = index.get((v, l))
-            pair = (g.adj[v][l], c if i is None else kg.trace(c, alpha.images[i - 1]))
-            nid = seen.get(pair)
-            if nid is None:
-                if len(seen) >= cap:
-                    raise IndexCapError(
-                        f"pull-back: the preimage of an index-{k.index()} subgroup in an "
-                        f"index-{g.num_vertices} domain would exceed the vertex cap ({cap}); "
-                        f"raise {VERTEX_CAP_ENV} to allow larger graphs"
-                    )
-                nid = seen[pair] = len(seen)
-                queue.append(pair)
-            edges.append((pid, l, nid))
-    return Subgroup(_canonical(alpha.rank, 0, edges))
+            moves.append((l, (adj[v][l], c if i is None else trace(c, images[i - 1]))))
+        return moves
+
+    return _component(
+        alpha.rank,
+        (0, 0),
+        step,
+        lambda count, cap: (
+            f"pull-back: the preimage of an index-{k.index()} subgroup in an "
+            f"index-{g.num_vertices} domain would exceed the vertex cap ({cap})"
+        ),
+    )
 
 
 def invert_iso(phi: PartialIso) -> PartialIso:
@@ -243,8 +237,7 @@ def compose(alpha: PartialIso, beta: PartialIso) -> PartialIso:
     Defined on the preimage under alpha of codomain(alpha) ∩ domain(beta),
     mapping onto the image of that intersection under beta.
     """
-    if alpha.rank != beta.rank:
-        raise RankMismatchError(f"mixed ambient ranks {alpha.rank} and {beta.rank}")
+    _require_same_rank(alpha, beta)
     dom = _pull_back(alpha, intersect(alpha.codomain, beta.domain))
     return _iso(dom, [apply(beta, apply(alpha, b)) for b in dom.basis.elements])
 
@@ -263,8 +256,7 @@ def equivalent(alpha: PartialIso, beta: PartialIso) -> bool:
     property this is equivalent to agreement on any smaller
     finite-index subgroup.
     """
-    if alpha.rank != beta.rank:
-        raise RankMismatchError(f"mixed ambient ranks {alpha.rank} and {beta.rank}")
+    _require_same_rank(alpha, beta)
     common = intersect(alpha.domain, beta.domain)
     return all(
         apply(alpha, b) == apply(beta, b) for b in common.basis.elements
@@ -313,8 +305,7 @@ def equivalent_bruteforce(alpha: PartialIso, beta: PartialIso, max_index: int) -
     candidate.  Candidates are independent, so evaluation order cannot
     change the answer.
     """
-    if alpha.rank != beta.rank:
-        raise RankMismatchError(f"mixed ambient ranks {alpha.rank} and {beta.rank}")
+    _require_same_rank(alpha, beta)
     common = intersect(alpha.domain, beta.domain)
     for h in _candidate_subgroups(alpha.rank, common, max_index):
         if all(apply(alpha, b) == apply(beta, b) for b in h.basis.elements):
@@ -324,8 +315,7 @@ def equivalent_bruteforce(alpha: PartialIso, beta: PartialIso, max_index: int) -
 
 def restrict(phi: PartialIso, k: Subgroup) -> PartialIso:
     """The same map with its domain cut down to K <= domain."""
-    if k.rank != phi.rank:
-        raise RankMismatchError(f"mixed ambient ranks {k.rank} and {phi.rank}")
+    _require_same_rank(k, phi)
     for b in k.basis.elements:
         if not phi.domain.contains(b):
             raise NotInSubgroupError(
@@ -441,8 +431,7 @@ def extend_pair(phi1: PartialIso, phi2: PartialIso) -> PartialIso:
     the join factors as h1·h2 (h1 from domain(phi1), h2 from
     domain(phi2)); the extension maps it to phi1(h1)·phi2(h2).
     """
-    if phi1.rank != phi2.rank:
-        raise RankMismatchError(f"mixed ambient ranks {phi1.rank} and {phi2.rank}")
+    _require_same_rank(phi1, phi2)
     h1, h2 = phi1.domain, phi2.domain
     if not is_normal(h2):
         raise InvalidIsoError("the second map's domain must be normal")
@@ -454,20 +443,10 @@ def extend_pair(phi1: PartialIso, phi2: PartialIso) -> PartialIso:
                 f"(at {_quoted(w)})"
             )
     j = join(h1, h2)
-    # coset bookkeeping: reach every coset of the normal subgroup that meets
-    # the join, recording a representative from domain(phi1)
+    # the cosets of the normal H2 that the join meets are those of H1's
+    # elements; H1 ∩ H2 is a cover whose tree paths in H1 reach each of them
     graph2 = h2.graph
-    reach: dict[int, Word] = {0: EPSILON}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for b in h1.basis.elements:
-                t = graph2.trace(v, b)
-                if t not in reach:
-                    reach[t] = concat(reach[v], b)
-                    nxt.append(t)
-        frontier = nxt
+    reach = {graph2.trace(0, p): p for p in common.coset_representatives() if h1.contains(p)}
     images = []
     for w in j.basis.elements:
         v = graph2.trace(0, w)
@@ -485,8 +464,7 @@ def transfer_to_subgroup(alpha: PartialIso, h: Subgroup) -> PartialIso:
     are rewritten over the canonical basis of H, whose letters are the
     generators of the new ambient free group.
     """
-    if h.rank != alpha.rank:
-        raise RankMismatchError(f"mixed ambient ranks {h.rank} and {alpha.rank}")
+    _require_same_rank(h, alpha)
     if h.index() is math.inf:
         raise InvalidIsoError("transfer needs a finite-index subgroup")
     h_basis = h.basis.elements

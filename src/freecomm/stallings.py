@@ -50,9 +50,7 @@ __all__ = [
     "Basis",
     "CoreGraph",
     "Subgroup",
-    "canonical_form",
     "conjugate_subgroup",
-    "equals",
     "express_over",
     "from_generators",
     "graph_from_document",
@@ -182,16 +180,6 @@ def _renumber(rank: int, base, adj: dict) -> CoreGraph:
         raise ValueError("graph is not connected from the basepoint")
     edges = [(number[u], a, number[v]) for u in seq for a, v in adj[u].items() if a > 0]
     return CoreGraph(rank=rank, edges=tuple(sorted(edges)), basepoint=0)
-
-
-def _canonical(rank: int, base, edges) -> CoreGraph:
-    """Renumber a folded connected graph into canonical form."""
-    return _renumber(rank, base, _adjacency(base, edges))
-
-
-def canonical_form(graph: CoreGraph) -> CoreGraph:
-    """Canonical relabeling of a folded connected graph."""
-    return _canonical(graph.rank, graph.basepoint, graph.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -600,46 +588,64 @@ def from_generators(rank: int, gens: Iterable[Word]) -> Subgroup:
     return _make_subgroup(rank, base, edges)
 
 
-def equals(h: Subgroup, k: Subgroup) -> bool:
-    """Equality as subgroups (the canonical graphs coincide)."""
-    return h == k
-
-
-def _require_same_rank(h: Subgroup, k: Subgroup) -> int:
+def _require_same_rank(h, k) -> int:
+    """The common ambient rank of two subgroups or maps."""
     if h.rank != k.rank:
         raise RankMismatchError(f"mixed ambient ranks {h.rank} and {k.rank}")
     return h.rank
 
 
-def intersect(h: Subgroup, k: Subgroup) -> Subgroup:
-    """Intersection via the fiber product of the two core graphs."""
-    rank = _require_same_rank(h, k)
-    ga, gb = h.graph, k.graph
+def _component(rank: int, start, step, too_big) -> Subgroup:
+    """The subgroup whose graph is the component of start in a product graph.
+
+    step(state) lists (signed letter, next state) for the letters that
+    lead from state.  States are numbered as they are found, from start
+    at 0, and the positive edges go to _make_subgroup.  A state past the
+    vertex cap raises IndexCapError, which too_big(count, cap) words for
+    the operation: count is the number of states found so far.
+    """
     cap = vertex_cap()
-    seen = {(0, 0): 0}
-    queue = [(0, 0)]
+    seen = {start: 0}
+    queue = [start]
     edges = []
-    for u, v in queue:  # grows while it is read
-        pid = seen[u, v]
-        next_b = gb.adj[v]
-        for a, x in ga.adj[u].items():  # the letters both vertices carry
-            y = next_b.get(a)
-            if y is None:
-                continue
-            nid = seen.get((x, y))
+    for state in queue:  # grows while it is read
+        pid = seen[state]
+        for a, nxt in step(state):
+            nid = seen.get(nxt)
             if nid is None:
                 if len(seen) >= cap:
                     raise IndexCapError(
-                        f"intersect: the fiber product of graphs with {ga.num_vertices} "
-                        f"and {gb.num_vertices} vertices would exceed the vertex cap "
-                        f"({cap}) after {len(seen)} pairs; raise {VERTEX_CAP_ENV} "
+                        f"{too_big(len(seen), cap)}; raise {VERTEX_CAP_ENV} "
                         "to allow larger graphs"
                     )
-                nid = seen[x, y] = len(seen)
-                queue.append((x, y))
+                nid = seen[nxt] = len(seen)
+                queue.append(nxt)
             if a > 0:
                 edges.append((pid, a, nid))
     return _make_subgroup(rank, 0, edges)
+
+
+def intersect(h: Subgroup, k: Subgroup) -> Subgroup:
+    """Intersection via the fiber product of the two core graphs: a pair
+    moves along the letters both of its vertices carry."""
+    rank = _require_same_rank(h, k)
+    adj_h, adj_k = h.graph.adj, k.graph.adj
+
+    def step(pair):
+        u, v = pair
+        next_k = adj_k[v]
+        return [(a, (x, y)) for a, x in adj_h[u].items() if (y := next_k.get(a)) is not None]
+
+    return _component(
+        rank,
+        (0, 0),
+        step,
+        lambda count, cap: (
+            f"intersect: the fiber product of graphs with {h.graph.num_vertices} and "
+            f"{k.graph.num_vertices} vertices would exceed the vertex cap ({cap}) "
+            f"after {count} pairs"
+        ),
+    )
 
 
 def join(h: Subgroup, k: Subgroup) -> Subgroup:
@@ -784,9 +790,8 @@ def overgroups(h: Subgroup) -> list[Subgroup]:
     quotient of H's cover by the system's classes.
     """
     g = h.graph
-    # a quotient of a cover is a cover, so there is nothing to prune
     members = [
-        Subgroup(_canonical(g.rank, 0, {(labels[u], l, labels[v]) for u, l, v in g.edges}))
+        _make_subgroup(g.rank, 0, {(labels[u], l, labels[v]) for u, l, v in g.edges})
         for labels in _block_systems(g).values()
     ]
     return sorted(members, key=lambda s: (s.index(), s.graph.edges))

@@ -126,13 +126,10 @@ def invert(w: Word) -> Word:
 
 def cyclic_split(w: Word) -> tuple[Word, Word]:
     """Split w = u⁻¹·c·u with c cyclically reduced; returns (u, c)."""
-    letters = list(w)
-    conj: list[int] = []
-    while len(letters) >= 2 and letters[0] == -letters[-1]:
-        conj.append(letters.pop())
-        letters.pop(0)
-    u = Word(reversed(conj))
-    return u, Word(letters)
+    n, k = len(w), 0
+    while n - 2 * k >= 2 and w[k] == -w[n - 1 - k]:
+        k += 1
+    return Word(w[n - k :]), Word(w[k : n - k])
 
 
 def power(w: Word, n: int) -> Word:

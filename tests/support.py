@@ -32,7 +32,7 @@ from freecomm import (
     whole_group,
     witness_expresser,
 )
-from freecomm.stallings import VERTEX_CAP_ENV, _make_subgroup, vertex_cap
+from freecomm.stallings import VERTEX_CAP_ENV, _adjacency, _make_subgroup, _renumber, vertex_cap
 
 
 def random_word(rng: random.Random, rank: int, max_len: int = 8) -> Word:
@@ -655,3 +655,93 @@ def fiber_product_edges(ga: CoreGraph, gb: CoreGraph) -> set:
                 nid = seen[x, y]
                 edges.add((pid, l, nid) if forward else (nid, l, pid))
     return edges
+
+
+# Reference products: the fiber product, the pull-back through an iso and
+# the coset search of extend_pair, each with its own breadth-first search.
+# This is how the library built them before intersect and the pull-back
+# shared one component walk and extend_pair read its cosets off the
+# intersection of the two domains.
+
+
+def intersect_by_own_search(h: Subgroup, k: Subgroup) -> Subgroup:
+    ga, gb = h.graph, k.graph
+    cap = vertex_cap()
+    seen = {(0, 0): 0}
+    queue = [(0, 0)]
+    edges = []
+    for u, v in queue:  # grows while it is read
+        pid = seen[u, v]
+        next_b = gb.adj[v]
+        for a, x in ga.adj[u].items():  # the letters both vertices carry
+            y = next_b.get(a)
+            if y is None:
+                continue
+            nid = seen.get((x, y))
+            if nid is None:
+                if len(seen) >= cap:
+                    raise IndexCapError(
+                        f"intersect: the fiber product of graphs with {ga.num_vertices} "
+                        f"and {gb.num_vertices} vertices would exceed the vertex cap "
+                        f"({cap}) after {len(seen)} pairs; raise {VERTEX_CAP_ENV} "
+                        "to allow larger graphs"
+                    )
+                nid = seen[x, y] = len(seen)
+                queue.append((x, y))
+            if a > 0:
+                edges.append((pid, a, nid))
+    return _make_subgroup(h.rank, 0, edges)
+
+
+def pull_back_by_own_search(alpha: PartialIso, k: Subgroup) -> Subgroup:
+    """The preimage under alpha of a finite-index K <= codomain(alpha)."""
+    g, kg, index = alpha.domain.graph, k.graph, alpha.domain._basis_index
+    cap = vertex_cap()
+    seen = {(0, 0): 0}
+    queue = [(0, 0)]
+    edges = []
+    for v, c in queue:  # grows while it is read
+        pid = seen[v, c]
+        for l in range(1, alpha.rank + 1):
+            i = index.get((v, l))
+            pair = (g.adj[v][l], c if i is None else kg.trace(c, alpha.images[i - 1]))
+            nid = seen.get(pair)
+            if nid is None:
+                if len(seen) >= cap:
+                    raise IndexCapError(
+                        f"pull-back: the preimage of an index-{k.index()} subgroup in an "
+                        f"index-{g.num_vertices} domain would exceed the vertex cap ({cap}); "
+                        f"raise {VERTEX_CAP_ENV} to allow larger graphs"
+                    )
+                nid = seen[pair] = len(seen)
+                queue.append(pair)
+            edges.append((pid, l, nid))
+    return Subgroup(_renumber(alpha.rank, 0, _adjacency(0, edges)))
+
+
+def extend_pair_by_coset_search(phi1: PartialIso, phi2: PartialIso) -> PartialIso:
+    """The common extension of two compatible maps, domain(phi2) normal.
+
+    Reaches every coset of domain(phi2) that the join meets by tracing
+    the basis words of domain(phi1), and builds a representative of each
+    by concatenating them.
+    """
+    h1, h2 = phi1.domain, phi2.domain
+    j = join(h1, h2)
+    graph2 = h2.graph
+    reach = {0: EPSILON}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for b in h1.basis.elements:
+                t = graph2.trace(v, b)
+                if t not in reach:
+                    reach[t] = concat(reach[v], b)
+                    nxt.append(t)
+        frontier = nxt
+    images = []
+    for w in j.basis.elements:
+        rep = reach[graph2.trace(0, w)]
+        images.append(concat(apply(phi1, rep), apply(phi2, concat(invert(rep), w))))
+    return make_iso(j, from_generators(j.rank, images), images)

@@ -16,7 +16,6 @@ from freecomm import (
     compute_extension,
     conjugate,
     embed_aut,
-    equals,
     equivalent,
     equivalent_bruteforce,
     extend_pair,
@@ -77,7 +76,7 @@ def test_criterion_2_kernel_fidelity():
             folded = from_generators(rank, listed)
             kernel = kernel_mod_p(rank, (1,) + (0,) * (rank - 1), p)
             if not (
-                equals(folded, kernel)
+                folded == kernel
                 and kernel.index() == p
                 and is_normal(kernel)
             ):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freecomm import InfiniteIndexError, NotInSubgroupError, Word, apply_hom, from_generators
-from freecomm.stallings import _build_bouquet, _canonical, _make_subgroup
+from freecomm.stallings import _adjacency, _build_bouquet, _make_subgroup, _renumber
 from support import (
     basis_by_two_tables,
     canonical_by_two_tables,
@@ -63,7 +63,8 @@ def words_over(rng, labels, count):
 
 
 def check(rng, rank, base, edges, labels):
-    assert _canonical(rank, base, edges) == canonical_by_two_tables(rank, base, edges)
+    numbered = _renumber(rank, base, _adjacency(base, edges))
+    assert numbered == canonical_by_two_tables(rank, base, edges)
     h = _make_subgroup(rank, base, edges)
     assert h.graph == make_subgroup_by_edge_sets(rank, base, edges)
     paths, _, _ = tree_by_two_tables(h.graph)

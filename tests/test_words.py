@@ -1,5 +1,7 @@
 """Word arithmetic: reduction, powers, roots, homomorphisms, abelianization."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -134,6 +136,15 @@ def test_cyclic_split_reassembles(w):
     if len(c) > 1:
         assert c[0] != -c[-1]
 
+
+def test_cyclic_split_of_a_long_stem_is_linear():
+    # popping the stem's front letter one at a time took 12 s for this word
+    stem = Word([1, 2] * 100_000)
+    w = concat(concat(invert(stem), parse_word("b")), stem)
+    start = time.perf_counter()
+    assert cyclic_split(w) == (stem, parse_word("b"))
+    assert nth_root(w, 3) is None  # the core b has length 1
+    assert time.perf_counter() - start < 1
 
 def test_apply_hom_examples():
     x, y = parse_word("a"), parse_word("b")
