@@ -38,7 +38,6 @@ from .commensurator import (
 )
 from .errors import FreecommError
 from .scenarios import (
-    _is_prime,
     bs_report,
     free_product_twist,
     hnn_report,
@@ -46,7 +45,6 @@ from .scenarios import (
     report_to_document,
 )
 from .stallings import (
-    VERTEX_CAP_ENV,
     Subgroup,
     from_generators,
     graph_from_document,
@@ -58,7 +56,6 @@ from .stallings import (
     kernel_mod_p,
     subgroup_from_document,
     subindex,
-    vertex_cap,
 )
 from .words import parse_word, word_to_text
 
@@ -104,23 +101,6 @@ def _check_rank(rank: int) -> int:
     return rank
 
 
-def _check_modulus(p: int) -> int:
-    """A prime whose p cosets (kernel graph vertices, or BS(1,k) cosets
-    enumerated by bs_image_index) fit under the vertex cap.
-
-    The cap goes first: it bounds the work that the modulus asks for.
-    """
-    cap = vertex_cap()
-    if p > cap:
-        raise _CliError(
-            f"modulus {p} exceeds the vertex cap ({cap}); raise {VERTEX_CAP_ENV} "
-            f"to allow larger graphs"
-        )
-    if not _is_prime(p):
-        raise _CliError(f"--prime expects a prime, got {p}")
-    return p
-
-
 def _parse_words(texts: Sequence[str], rank: int):
     return [parse_word(t, rank=rank) for t in texts]
 
@@ -146,7 +126,7 @@ def _cmd_subgroup(args) -> int:
     if op == "kernel":
         rank = _check_rank(args.rank)
         weights = _parse_weights(args.weights)
-        h = kernel_mod_p(rank, weights, _check_modulus(args.p))
+        h = kernel_mod_p(rank, weights, args.p)
         _emit(graph_to_document(h.graph))
         return 0
     if op == "index":
@@ -233,13 +213,13 @@ def _cmd_iso(args) -> int:
 def _cmd_paper(args) -> int:
     op = args.op
     if op == "kernel-swap":
-        report = kernel_swap(_check_rank(args.rank), _check_modulus(args.prime))
+        report = kernel_swap(_check_rank(args.rank), args.prime)
     elif op == "twist":
         rank = _check_rank(args.rank)
         b = parse_word(args.b, rank=rank) if args.b is not None else None
-        report = free_product_twist(rank, _check_modulus(args.prime), b)
+        report = free_product_twist(rank, args.prime, b)
     elif op == "bs":
-        report = bs_report(args.k, _check_modulus(args.p), args.samples, args.seed)
+        report = bs_report(args.k, args.p, args.samples, args.seed)
     else:  # hnn, the last scenario the parser admits
         report = hnn_report(args.n, args.bound)
     _emit(report_to_document(report))

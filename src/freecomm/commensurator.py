@@ -48,10 +48,10 @@ from .stallings import (
 from .words import (
     Word,
     _quoted,
+    _require_rank,
     apply_hom,
     concat,
     invert,
-    max_generator,
     nth_root,
     parse_word,
     power,
@@ -339,8 +339,7 @@ def embed_aut(images: Sequence[Word]) -> PartialIso:
         raise InvalidIsoError("an automorphism needs at least one generator image")
     rose = whole_group(rank)
     for w in images:
-        if max_generator(w) > rank:
-            raise RankMismatchError(f"image {_quoted(w)} exceeds rank {rank}")
+        _require_rank(w, rank, "image")
     if from_generators(rank, images) != rose:
         raise InvalidIsoError(
             "images do not generate the whole group, so this is not an automorphism"
@@ -349,8 +348,9 @@ def embed_aut(images: Sequence[Word]) -> PartialIso:
 
 
 def is_identity_class(phi: PartialIso) -> bool:
-    """Whether the map agrees with the identity on its domain."""
-    return equivalent(phi, identity_iso(phi.domain))
+    """Whether the map is equivalent to the identity.  They agree on the
+    intersection of their domains, phi's own, when phi fixes its basis."""
+    return phi.images == phi.domain.basis.elements
 
 
 def compute_extension(phi: PartialIso) -> Union[tuple[Word, ...], NoExtension]:
@@ -429,7 +429,8 @@ def extend_pair(phi1: PartialIso, phi2: PartialIso) -> PartialIso:
     Requires domain(phi2) normal in the ambient group and agreement of
     the two maps on the intersection of the domains.  Every element of
     the join factors as h1·h2 (h1 from domain(phi1), h2 from
-    domain(phi2)); the extension maps it to phi1(h1)·phi2(h2).
+    domain(phi2)); the extension maps it to phi1(h1)·phi2(h2), so its
+    image is the join of the two codomains.
     """
     _require_same_rank(phi1, phi2)
     h1, h2 = phi1.domain, phi2.domain
@@ -454,7 +455,7 @@ def extend_pair(phi1: PartialIso, phi2: PartialIso) -> PartialIso:
         assert rep is not None, "join element escaped the reachable cosets"
         tail = concat(invert(rep), w)
         images.append(concat(apply(phi1, rep), apply(phi2, tail)))
-    return _iso(j, images)
+    return _iso(j, images, join(phi1.codomain, phi2.codomain))
 
 
 def transfer_to_subgroup(alpha: PartialIso, h: Subgroup) -> PartialIso:

@@ -29,6 +29,7 @@ from .commensurator import (
     make_iso,
 )
 from .stallings import (
+    _require_modulus_under_cap,
     from_generators,
     graph_to_document,
     is_normal,
@@ -92,7 +93,10 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _require_prime(p: int) -> None:
+def _require_prime(op: str, p: int) -> None:
+    """The modulus guard of the scenarios: p is held to the vertex cap first,
+    which bounds the work it asks for and keeps it in range of _is_prime."""
+    _require_modulus_under_cap(op, p)
     if not _is_prime(p):
         raise ValueError(f"expected a prime, got {p}")
 
@@ -178,7 +182,7 @@ def kernel_swap(rank: int, p: int) -> ScenarioReport:
     """
     if rank < 2:
         raise ValueError(f"rank must be at least 2, got {rank}")
-    _require_prime(p)
+    _require_prime("kernel_swap", p)
     x = Word((1,))
     y = Word((2,))
     xp = power(x, p)
@@ -253,7 +257,7 @@ def free_product_twist(rank: int, p: int, b: Optional[Word] = None) -> ScenarioR
     """
     if rank < 2:
         raise ValueError(f"rank must be at least 2, got {rank}")
-    _require_prime(p)
+    _require_prime("free_product_twist", p)
     if b is None:
         b = Word((2,))
     h = kernel_mod_p(rank, (1,) + (0,) * (rank - 1), p)
@@ -377,7 +381,8 @@ def bs_image_index(k: int, p: int) -> int:
 
     Cosets are tracked by residues mod p; the two generators act by
     r -> r+1 and r -> k·r.  Requires gcd(p, k) = 1, which makes the
-    k-action invertible mod p.
+    k-action invertible mod p.  The walk visits all p residues, so p is
+    held to the vertex cap.
     """
     if abs(k) < 2:
         raise ValueError(f"|k| must be at least 2, got {k}")
@@ -385,6 +390,7 @@ def bs_image_index(k: int, p: int) -> int:
         raise ValueError(f"p must be at least 2, got {p}")
     if math.gcd(p, k) != 1:
         raise ValueError(f"p={p} shares a factor with k={k}; the index is not defined here")
+    _require_modulus_under_cap("bs_image_index", p)
     seen = {0}
     frontier = [0]
     while frontier:
@@ -406,7 +412,7 @@ def bs_report(k: int, p: int, samples: int = 1000, seed: int = 0) -> ScenarioRep
     """Exact checks of the BS(1,k) arithmetic and the index-p self-embedding."""
     if abs(k) < 2:
         raise ValueError(f"|k| must be at least 2, got {k}")
-    _require_prime(p)
+    _require_prime("bs_report", p)
     if math.gcd(p, k) != 1:
         raise ValueError(f"p={p} shares a factor with k={k}")
     a = bs_element(1, 0, 0, k)

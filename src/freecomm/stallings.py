@@ -44,7 +44,7 @@ from .errors import (
     NotInSubgroupError,
     RankMismatchError,
 )
-from .words import EPSILON, Word, _quoted, concat, conjugate, invert, max_generator
+from .words import EPSILON, Word, _quoted, _require_rank, concat, conjugate, invert
 
 __all__ = [
     "Basis",
@@ -89,6 +89,19 @@ def vertex_cap() -> int:
     return cap
 
 
+def _cap_error(what: str) -> IndexCapError:
+    """The error for a graph past the vertex cap: what names the operation
+    and its sizes, and the tail says how to allow larger graphs."""
+    return IndexCapError(f"{what}; raise {VERTEX_CAP_ENV} to allow larger graphs")
+
+
+def _require_modulus_under_cap(op: str, p: int) -> None:
+    """A modulus p asks for p cosets, so it is held to the vertex cap."""
+    cap = vertex_cap()
+    if p > cap:
+        raise _cap_error(f"{op}: modulus {p} exceeds the vertex cap ({cap})")
+
+
 # ---------------------------------------------------------------------------
 # graphs
 
@@ -103,11 +116,10 @@ class CoreGraph:
 
     rank: int
     edges: tuple[Edge, ...]
-    basepoint: int = 0
 
     @cached_property
     def num_vertices(self) -> int:
-        n = self.basepoint + 1
+        n = 1  # the basepoint 0
         for u, _, v in self.edges:
             n = max(n, u + 1, v + 1)
         return n
@@ -116,7 +128,7 @@ class CoreGraph:
     def adj(self) -> tuple[dict, ...]:
         """adj[v][a] = where the signed letter a leads from v, if anywhere;
         each dict lists its letters in scan order +1, -1, +2, -2, ..."""
-        table = _adjacency(self.basepoint, self.edges)
+        table = _adjacency(0, self.edges)
         return tuple(table.get(v, {}) for v in range(self.num_vertices))
 
     def trace(self, vertex: int, w: Word) -> Optional[int]:
@@ -179,7 +191,7 @@ def _renumber(rank: int, base, adj: dict) -> CoreGraph:
     if len(number) < len(adj):
         raise ValueError("graph is not connected from the basepoint")
     edges = [(number[u], a, number[v]) for u in seq for a, v in adj[u].items() if a > 0]
-    return CoreGraph(rank=rank, edges=tuple(sorted(edges)), basepoint=0)
+    return CoreGraph(rank=rank, edges=tuple(sorted(edges)))
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +221,9 @@ class _FoldGraph:
     def _grow(self, count: int) -> int:
         """Allocate count fresh root vertices; returns the first id."""
         if self.live + count > self.cap:
-            raise IndexCapError(
+            raise _cap_error(
                 f"{self.op}: the folded graph would exceed the vertex cap ({self.cap}) "
-                f"with {self.live + count} live vertices ({len(self.parent) + count} "
-                f"allocated); raise {VERTEX_CAP_ENV} to allow larger graphs"
+                f"with {self.live + count} live vertices ({len(self.parent) + count} allocated)"
             )
         first = len(self.parent)
         self.live += count
@@ -220,9 +231,6 @@ class _FoldGraph:
         self.pot.extend([EPSILON if self.witness else None] * count)
         self.adj.extend({} for _ in range(count))
         return first
-
-    def new_vertex(self) -> int:
-        return self._grow(1)
 
     def find(self, x: int) -> int:
         root = x
@@ -419,10 +427,9 @@ class _FoldGraph:
 
 def _build_bouquet(rank: int, gens: Sequence[Word], witness: bool) -> _FoldGraph:
     fg = _FoldGraph("witness_expresser" if witness else "from_generators", witness)
-    base = fg.new_vertex()
+    base = fg._grow(1)
     for i, g in enumerate(gens):
-        if max_generator(g) > rank:
-            raise RankMismatchError(f"generator {_quoted(g)} exceeds rank {rank}")
+        _require_rank(g, rank, "generator")
         fg.add_loop(base, g, Word((i + 1,)) if witness else None)
     return fg
 
@@ -441,8 +448,7 @@ def witness_expresser(rank: int, gens: Sequence[Word]):
     fg = _build_bouquet(rank, list(gens), witness=True)
 
     def express(w: Word) -> Optional[Word]:
-        if max_generator(w) > rank:
-            raise RankMismatchError(f"word {_quoted(w)} exceeds rank {rank}")
+        _require_rank(w, rank, "word")
         return fg.express(0, w)
 
     return express
@@ -471,8 +477,7 @@ class Subgroup:
         return self.graph.rank
 
     def contains(self, w: Word) -> bool:
-        if max_generator(w) > self.rank:
-            raise RankMismatchError(f"word {_quoted(w)} exceeds rank {self.rank}")
+        _require_rank(w, self.rank, "word")
         return self.graph.trace(0, w) == 0
 
     def index(self):
@@ -532,8 +537,7 @@ class Subgroup:
         cross one edge back and forth with only tree edges between, so
         for a Word it is reduced as read.
         """
-        if max_generator(w) > self.rank:
-            raise RankMismatchError(f"word {_quoted(w)} exceeds rank {self.rank}")
+        _require_rank(w, self.rank, "word")
         adj, index = self.graph.adj, self._basis_index
         pos: Optional[int] = 0
         letters: list[int] = []
@@ -614,10 +618,7 @@ def _component(rank: int, start, step, too_big) -> Subgroup:
             nid = seen.get(nxt)
             if nid is None:
                 if len(seen) >= cap:
-                    raise IndexCapError(
-                        f"{too_big(len(seen), cap)}; raise {VERTEX_CAP_ENV} "
-                        "to allow larger graphs"
-                    )
+                    raise _cap_error(too_big(len(seen), cap))
                 nid = seen[nxt] = len(seen)
                 queue.append(nxt)
             if a > 0:
@@ -670,7 +671,7 @@ def join(h: Subgroup, k: Subgroup) -> Subgroup:
             u = fg.find(place[x])
             if y not in place:
                 e = fg.adj[u].get(a)
-                place[y] = fg.new_vertex() if e is None else e[0]
+                place[y] = fg._grow(1) if e is None else e[0]
                 queue.append(y)
                 if e is not None:
                     continue  # the edge is there already
@@ -681,8 +682,7 @@ def join(h: Subgroup, k: Subgroup) -> Subgroup:
 
 def conjugate_subgroup(h: Subgroup, g: Word) -> Subgroup:
     """The subgroup g⁻¹·H·g."""
-    if max_generator(g) > h.rank:
-        raise RankMismatchError(f"word {_quoted(g)} exceeds rank {h.rank}")
+    _require_rank(g, h.rank, "word")
     t = h.graph.trace(0, g)
     if t is not None:
         # same graph, basepoint moved to the endpoint of g
@@ -713,12 +713,7 @@ def kernel_mod_p(rank: int, weights: Sequence[int], p: int) -> Subgroup:
         raise RankMismatchError(f"expected {rank} weights, got {len(weights)}")
     if all(w % p == 0 for w in weights):
         raise ValueError("all weights vanish mod p; the kernel is the whole group")
-    cap = vertex_cap()
-    if p > cap:
-        raise IndexCapError(
-            f"kernel_mod_p: modulus {p} exceeds the vertex cap ({cap}); "
-            f"raise {VERTEX_CAP_ENV} to allow larger graphs"
-        )
+    _require_modulus_under_cap("kernel_mod_p", p)
     # the component of 0 is the residues divisible by gcd(p, weights)
     edges = [
         (r, i, (r + w) % p)
@@ -821,7 +816,7 @@ def graph_to_document(g: CoreGraph) -> dict:
     """Plain-data form: rank, basepoint, and [source, target, label] rows."""
     return {
         "rank": g.rank,
-        "basepoint": g.basepoint,
+        "basepoint": 0,
         "edges": [[u, v, l] for u, l, v in g.edges],
     }
 
@@ -877,10 +872,7 @@ def graph_from_document(doc) -> CoreGraph:
     adj = _adjacency(basepoint, edges)
     cap = vertex_cap()
     if len(adj) > cap:
-        raise IndexCapError(
-            f"graph document: {len(adj)} vertices exceed the vertex cap ({cap}); "
-            f"raise {VERTEX_CAP_ENV} to allow larger graphs"
-        )
+        raise _cap_error(f"graph document: {len(adj)} vertices exceed the vertex cap ({cap})")
     number, _, _ = _bfs(basepoint, adj)
     if len(number) < len(adj):
         raise DocumentError("not connected: some vertex is unreachable from the basepoint")
@@ -898,11 +890,11 @@ def _letter_name(l: int) -> str:
     return chr(ord("a") + l - 1) if l <= 26 else f"x{l}"
 
 
-def graph_to_dot(g: CoreGraph, name: str = "stallings") -> str:
-    """Graphviz text; the basepoint is drawn with a double circle."""
-    lines = [f"digraph {name} {{", "  rankdir=LR;"]
+def graph_to_dot(g: CoreGraph) -> str:
+    """Graphviz text; the basepoint 0 is drawn with a double circle."""
+    lines = ["digraph stallings {", "  rankdir=LR;"]
     for v in range(g.num_vertices):
-        shape = "doublecircle" if v == g.basepoint else "circle"
+        shape = "doublecircle" if v == 0 else "circle"
         lines.append(f'  {v} [shape={shape}];')
     for u, l, v in g.edges:
         lines.append(f'  {u} -> {v} [label="{_letter_name(l)}"];')

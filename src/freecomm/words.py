@@ -82,8 +82,8 @@ EPSILON = Word()
 def reduce(letters: Iterable[int], rank: Optional[int] = None) -> Word:
     """Freely reduce a letter sequence; validate indices when rank is given."""
     w = Word(letters)
-    if rank is not None and w and max_generator(w) > rank:
-        raise RankMismatchError(f"letter index exceeds rank {rank}: {tuple(w)}")
+    if rank is not None:
+        _require_rank(w, rank, "word")
     return w
 
 
@@ -97,6 +97,12 @@ def generator(i: int) -> Word:
 def max_generator(w: Sequence[int]) -> int:
     """Largest generator index used in w (0 for the identity)."""
     return max((abs(a) for a in w), default=0)
+
+
+def _require_rank(w: Sequence[int], rank: int, noun: str) -> None:
+    """Reject w if it uses a generator past rank; noun names w in the error."""
+    if max_generator(w) > rank:
+        raise RankMismatchError(f"{noun} {_quoted(w)} exceeds rank {rank}")
 
 
 def concat(u: Word, v: Word) -> Word:
@@ -195,8 +201,7 @@ def abelianize(w: Word, rank: int) -> tuple[int, ...]:
     """Exponent-sum vector of w in Z^rank."""
     if rank < 0:
         raise WordError(f"rank must be >= 0, got {rank}")
-    if max_generator(w) > rank:
-        raise RankMismatchError(f"letter index exceeds rank {rank}: {tuple(w)}")
+    _require_rank(w, rank, "word")
     vec = [0] * rank
     for a in w:
         vec[abs(a) - 1] += 1 if a > 0 else -1

@@ -554,7 +554,7 @@ def canonical_by_two_tables(rank: int, base, edges) -> CoreGraph:
     if len(number) < len(vertices):
         raise ValueError("graph is not connected from the basepoint")
     new_edges = tuple(sorted((number[u], l, number[v]) for u, l, v in edges))
-    return CoreGraph(rank=rank, edges=new_edges, basepoint=0)
+    return CoreGraph(rank=rank, edges=new_edges)
 
 
 def _core_by_edge_sets(base, edges) -> set:

@@ -331,17 +331,26 @@ def test_boolean_document_fields_exit_2(tmp_path):
 
 
 def test_modulus_is_checked_against_the_cap_first():
-    huge = "1000000000000000003"
-    for argv in (
-        ("subgroup", "kernel", "--rank", "2", "--weights", "1,0", "--p", huge),
-        ("paper", "kernel-swap", "--rank", "2", "--prime", huge),
-        ("paper", "twist", "--rank", "2", "--prime", huge),
-    ):
-        start = time.perf_counter()
-        code, out, err = invoke(*argv)
-        assert time.perf_counter() - start < 1
-        assert (code, out) == (2, "")
-        assert "vertex cap (10000)" in err
+    # 10**30 is past the range of the primality test, which would raise
+    for huge in ("1000000000000000003", str(10**30)):
+        for argv in (
+            ("subgroup", "kernel", "--rank", "2", "--weights", "1,0", "--p", huge),
+            ("paper", "kernel-swap", "--rank", "2", "--prime", huge),
+            ("paper", "twist", "--rank", "2", "--prime", huge),
+        ):
+            start = time.perf_counter()
+            code, out, err = invoke(*argv)
+            assert time.perf_counter() - start < 1
+            assert (code, out) == (2, "")
+            assert "vertex cap (10000)" in err
+
+
+def test_kernel_accepts_a_composite_modulus(tmp_path):
+    code, out, err = invoke("subgroup", "kernel", "--rank", "2", "--weights", "1,0", "--p", "4")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == graph_to_document(kernel_mod_p(2, (1, 0), 4).graph)
+    staged = write_doc(tmp_path / "k4.json", json.loads(out))
+    assert invoke("subgroup", "index", staged) == (0, "4\n", "")
 
 
 def test_bs_modulus_is_checked_against_the_cap():

@@ -3,12 +3,14 @@
 import json
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from freecomm import (
     BSElement,
+    IndexCapError,
     bs_element,
     bs_image_index,
     bs_inv,
@@ -225,6 +227,18 @@ def test_report_document_serializes_bs_values():
     assert "denom_exp" in text
     reloaded = json.loads(text)
     assert reloaded["ok"] is True
+
+
+def test_bs_modulus_past_the_cap_is_refused_at_once(monkeypatch):
+    # the image index walks all p cosets, so the walk is held to the cap
+    monkeypatch.delenv("FREECOMM_INDEX_CAP", raising=False)
+    p = 10**18 + 3
+    refusal = rf"modulus {p} exceeds the vertex cap \(10000\)"
+    for call in (lambda: bs_report(2, p, samples=10), lambda: bs_image_index(2, p)):
+        start = time.perf_counter()
+        with pytest.raises(IndexCapError, match=refusal):
+            call()
+        assert time.perf_counter() - start < 1
 
 
 def test_prime_test_matches_trial_division():

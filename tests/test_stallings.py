@@ -16,19 +16,26 @@ from freecomm import (
     Subgroup,
     Word,
     apply_hom,
+    bs_image_index,
+    bs_report,
+    compose,
     concat,
     conjugate,
     conjugate_subgroup,
     express_over,
+    free_product_twist,
     from_generators,
     graph_from_document,
     graph_to_document,
     graph_to_dot,
     intersect,
+    identity_iso,
     invert,
     is_normal,
     join,
     kernel_mod_p,
+    kernel_swap,
+    make_iso,
     overgroups,
     parse_word,
     power,
@@ -458,6 +465,36 @@ def test_cap_errors_name_the_operation_and_sizes(monkeypatch):
         match=r"^kernel_mod_p: modulus 53 exceeds the vertex cap \(50\); raise FREECOMM_INDEX_CAP",
     ):
         kernel_mod_p(2, (1, 0), 53)
+
+
+def test_every_cap_path_ends_with_the_shared_tail(monkeypatch):
+    def cyclic(n):
+        return from_generators(1, [Word((1,) * n)])
+
+    h, k = kernel_mod_p(2, (1, 0), 2), kernel_mod_p(2, (0, 1), 3)
+    # a^2 -> a pulls a^3 back to a^6, while the intersection a^3 fits
+    alpha = make_iso(cyclic(2), cyclic(1), [Word((1,))])
+    beta = identity_iso(cyclic(3))
+    six_cycle = {"rank": 1, "basepoint": 0, "edges": [[v, (v + 1) % 6, 1] for v in range(6)]}
+    paths = {
+        "from_generators": lambda: from_generators(1, [Word((1,) * 6)]),
+        "intersect": lambda: intersect(h, k),
+        "pull-back": lambda: compose(alpha, beta),
+        "kernel_mod_p": lambda: kernel_mod_p(2, (1, 0), 7),
+        "graph document": lambda: graph_from_document(six_cycle),
+        "kernel_swap": lambda: kernel_swap(2, 7),
+        "free_product_twist": lambda: free_product_twist(2, 7),
+        "bs_report": lambda: bs_report(2, 7, samples=10),
+        "bs_image_index": lambda: bs_image_index(2, 7),
+    }
+    monkeypatch.setenv("FREECOMM_INDEX_CAP", "5")
+    for op, call in paths.items():
+        with pytest.raises(IndexCapError) as caught:
+            call()
+        message = str(caught.value)
+        assert message.startswith(f"{op}: "), message
+        assert "vertex cap (5)" in message, message
+        assert message.endswith("; raise FREECOMM_INDEX_CAP to allow larger graphs"), message
 
 
 def test_sparse_document_of_huge_rank_loads_fast():
