@@ -191,23 +191,22 @@ def _pull_back(alpha: PartialIso, k: Subgroup) -> Subgroup:
     """The preimage under alpha of a finite-index subgroup K of its codomain.
 
     The domain acts on the cosets of K through alpha: crossing the i-th
-    edge off the domain's spanning tree moves a coset along image i, and
-    a tree edge leaves it in place.  The preimage is the stabilizer of K,
-    so its graph is the component of (basepoint, K) in the product of the
-    domain's graph with that action: the walk of intersect, with the
-    second coordinate twisted.  Both are covers, hence so is the product,
-    and outgoing edges alone reach all of it.
+    edge off the domain's spanning tree moves a coset along image i (back
+    along its inverse), and a tree edge leaves it in place.  The preimage
+    is the stabilizer of K, so its graph is the component of (basepoint,
+    K) in the product of the domain's graph with that action: the walk of
+    intersect, with the second coordinate twisted.  Both are covers, so
+    each state has all 2·rank letters, listed in scan order.
     """
-    g, index, images = alpha.domain.graph, alpha.domain._basis_index, alpha.images
+    g, images = alpha.domain.graph, alpha.images
     adj, trace = g.adj, k.graph.trace
+    spell = {}  # off-tree half-edge -> the word its crossing moves a coset along
+    for (v, a), i in alpha.domain._basis_index.items():
+        spell[v, a] = images[i - 1] if i > 0 else invert(images[-i - 1])
 
     def step(pair):
         v, c = pair
-        moves = []
-        for l in range(1, alpha.rank + 1):
-            i = index.get((v, l))
-            moves.append((l, (adj[v][l], c if i is None else trace(c, images[i - 1]))))
-        return moves
+        return {a: (w, trace(c, spell[v, a]) if (v, a) in spell else c) for a, w in adj[v].items()}
 
     return _component(
         alpha.rank,
@@ -305,6 +304,8 @@ def equivalent_bruteforce(alpha: PartialIso, beta: PartialIso, max_index: int) -
     candidate.  Candidates are independent, so evaluation order cannot
     change the answer.
     """
+    if max_index < 1:
+        raise ValueError(f"max_index must be positive, got {max_index}")
     _require_same_rank(alpha, beta)
     common = intersect(alpha.domain, beta.domain)
     for h in _candidate_subgroups(alpha.rank, common, max_index):

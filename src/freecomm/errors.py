@@ -25,6 +25,10 @@ class IndexCapError(FreecommError, RuntimeError):
     """A graph construction exceeded the configured vertex cap."""
 
 
+class WorkLimitError(FreecommError, ValueError):
+    """A scenario asked for more work than its fixed limit."""
+
+
 class InvalidIsoError(FreecommError, ValueError):
     """A partial isomorphism failed validation; the message names the check."""
 

@@ -28,6 +28,7 @@ from .commensurator import (
     iso_to_document,
     make_iso,
 )
+from .errors import WorkLimitError
 from .stallings import (
     _require_modulus_under_cap,
     from_generators,
@@ -91,6 +92,17 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+# The most work one scenario scan may ask for: power-sum terms of
+# hnn_obstruction, random samples of bs_report.  At the limit, bs_report
+# takes a few seconds and hnn_report a fraction of one.
+WORK_LIMIT = 100_000
+
+
+def _require_work_under_limit(op: str, asked: str, count: int) -> None:
+    if count > WORK_LIMIT:
+        raise WorkLimitError(f"{op}: {asked} exceed the work limit ({WORK_LIMIT})")
 
 
 def _require_prime(op: str, p: int) -> None:
@@ -409,9 +421,13 @@ def _bs_sample(rng: random.Random, k: int) -> BSElement:
 
 
 def bs_report(k: int, p: int, samples: int = 1000, seed: int = 0) -> ScenarioReport:
-    """Exact checks of the BS(1,k) arithmetic and the index-p self-embedding."""
+    """Exact checks of the BS(1,k) arithmetic and the index-p self-embedding,
+    on 1 to WORK_LIMIT random samples."""
     if abs(k) < 2:
         raise ValueError(f"|k| must be at least 2, got {k}")
+    if samples < 1:
+        raise ValueError(f"samples must be positive, got {samples}")
+    _require_work_under_limit("bs_report", f"{samples} samples", samples)
     _require_prime("bs_report", p)
     if math.gcd(p, k) != 1:
         raise ValueError(f"p={p} shares a factor with k={k}")
@@ -459,8 +475,9 @@ def bs_report(k: int, p: int, samples: int = 1000, seed: int = 0) -> ScenarioRep
 def hnn_obstruction(n: int, bound: int) -> list[tuple[int, int]]:
     """Coprime nonzero pairs (l, r) with |l^(n-1) + l^(n-2)·r + … + r^(n-1)| = 1.
 
-    Exhaustive exact scan over 1 <= |l|, |r| <= bound.  Pairs with a
-    zero component are excluded, as are non-coprime pairs.
+    Exhaustive exact scan over 1 <= |l|, |r| <= bound, which evaluates
+    (2·bound)²·n power-sum terms, at most WORK_LIMIT.  Pairs with a zero
+    component are excluded, as are non-coprime pairs.
 
     For n >= 3 and any bound >= 1 the result is [(-1, 1), (1, -1)] when n
     is odd and [] when n is even.  For even n the sum factors as
@@ -474,6 +491,9 @@ def hnn_obstruction(n: int, bound: int) -> list[tuple[int, int]]:
         raise ValueError(f"n must be at least 3, got {n}")
     if bound < 1:
         raise ValueError(f"bound must be positive, got {bound}")
+    terms = (2 * bound) ** 2 * n
+    asked = f"{terms} power-sum terms (n={n}, bound {bound})"
+    _require_work_under_limit("hnn_obstruction", asked, terms)
     solutions = []
     for l in range(-bound, bound + 1):
         if l == 0:

@@ -9,7 +9,11 @@ vertex in scan order +1, -1, +2, -2, ...  The folder keeps the same
 table on its union-find roots, so folding walks it the same way.  The
 graph is kept in canonical form (breadth-first numbering from the
 basepoint, in scan order), so two subgroups are equal exactly when their
-graphs compare equal.
+graphs compare equal.  One walk numbers every graph built here (a fold,
+a product of two graphs, the residues of a kernel, the blocks of a
+quotient, a document): it reads each state's letters in scan order, so
+it finds the states in canonical order and its rows are the table.  Only
+a graph with hanging trees is pruned and walked once more.
 
 Finite index corresponds to the graph being a cover (every vertex has
 all 2·rank letters); the index is then the vertex count.  Graph
@@ -117,19 +121,16 @@ class CoreGraph:
     rank: int
     edges: tuple[Edge, ...]
 
-    @cached_property
+    @property
     def num_vertices(self) -> int:
-        n = 1  # the basepoint 0
-        for u, _, v in self.edges:
-            n = max(n, u + 1, v + 1)
-        return n
+        return len(self.adj)
 
     @cached_property
     def adj(self) -> tuple[dict, ...]:
         """adj[v][a] = where the signed letter a leads from v, if anywhere;
         each dict lists its letters in scan order +1, -1, +2, -2, ..."""
         table = _adjacency(0, self.edges)
-        return tuple(table.get(v, {}) for v in range(self.num_vertices))
+        return tuple(table.get(v, {}) for v in range(max(table) + 1))
 
     def trace(self, vertex: int, w: Word) -> Optional[int]:
         """Endpoint of the path spelling w from vertex, or None if it leaves."""
@@ -167,31 +168,44 @@ def _adjacency(base, edges) -> dict:
     return adj
 
 
-def _bfs(base, adj):
-    """Canonical BFS from the basepoint, reading each vertex's letters in order.
+def _walk(start, step, too_big=None):
+    """Number the states reachable from start, breadth first.
 
-    Returns (numbering, visit sequence, parents) where parents[v] =
-    (parent, signed letter) describes the discovering tree edge.
+    step(state) maps each signed letter that leads from state to the next
+    state.  Returns (states, rows, found): the states in the order found,
+    from start at 0; rows[i], mapping the i-th state's letters, in step's
+    order, to numbers; and found[i] = (number, letter), the edge that
+    found it.  When step lists letters in scan order, rows is the
+    canonical table (a coset table standardised as in Sims 1994).  With
+    too_big, a state past the vertex cap raises IndexCapError, which
+    too_big(count, cap) words for the operation, count being the states
+    found so far.
     """
-    number = {base: 0}
-    seq = [base]
-    parents: dict = {}
-    for v in seq:  # grows while it is read
-        for a, w in adj[v].items():
-            if w not in number:
-                number[w] = len(seq)
-                seq.append(w)
-                parents[w] = (v, a)
-    return number, seq, parents
+    cap = vertex_cap() if too_big else math.inf
+    number = {start: 0}
+    states, rows, found = [start], [], [None]
+    for state in states:  # grows while it is read
+        row = {}
+        for a, nxt in step(state).items():
+            n = number.get(nxt)
+            if n is None:
+                if len(states) >= cap:
+                    raise _cap_error(too_big(len(states), cap))
+                n = number[nxt] = len(states)
+                states.append(nxt)
+                found.append((len(rows), a))
+            row[a] = n
+        rows.append(row)
+    return states, rows, found
 
 
-def _renumber(rank: int, base, adj: dict) -> CoreGraph:
-    """Canonical form of a folded graph given by its table; it must be connected."""
-    number, seq, _ = _bfs(base, adj)
-    if len(number) < len(adj):
-        raise ValueError("graph is not connected from the basepoint")
-    edges = [(number[u], a, number[v]) for u in seq for a, v in adj[u].items() if a > 0]
-    return CoreGraph(rank=rank, edges=tuple(sorted(edges)))
+def _graph(rank: int, rows: list) -> CoreGraph:
+    """The graph whose canonical table is rows, as _walk numbers it: the
+    positive halves, read row by row, are its sorted edges."""
+    edges = tuple((u, a, v) for u, row in enumerate(rows) for a, v in row.items() if a > 0)
+    g = CoreGraph(rank, edges)
+    g.__dict__["adj"] = tuple(rows)  # fill the cache
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +350,8 @@ class _FoldGraph:
         if self.witness:
             acc_f: list[int] = []  # base frame -> root frame of u
             acc_b: list[int] = []  # base frame -> root frame of v, along w backward
-            u, i = self._walk(base, w, acc_f)
-            v, read = self._walk(base, (-a for a in reversed(w[i:])), acc_b)
+            u, i = self._follow(base, w, acc_f)
+            v, read = self._follow(base, (-a for a in reversed(w[i:])), acc_b)
             j = n - read
             # the middle runs from u's root frame to v's, so the petal reads seed
             mid = Word([-a for a in reversed(acc_f)] + list(seed) + acc_b)
@@ -391,7 +405,7 @@ class _FoldGraph:
 
     # -- witness tracing
 
-    def _walk(self, pos: int, letters: Iterable[int], acc: list) -> tuple[int, int]:
+    def _follow(self, pos: int, letters: Iterable[int], acc: list) -> tuple[int, int]:
         """Follow letters from pos until an edge is missing (witness mode).
 
         Returns the root reached and the number of letters read; acc gets
@@ -418,7 +432,7 @@ class _FoldGraph:
         subgroup the folded graph represents.
         """
         acc: list[int] = []
-        end, read = self._walk(base, w, acc)
+        end, read = self._follow(base, w, acc)
         br, pb = self.find_pot(base)
         if read < len(w) or end != br:
             return None
@@ -486,16 +500,15 @@ class Subgroup:
 
     @cached_property
     def _tree(self):
-        """(paths, tree): base-to-vertex words along the canonical spanning
-        tree, and the tree's half-edges (vertex, signed letter), both ways."""
+        """(paths, tree): base-to-vertex words along the edges by which the walk
+        finds each vertex, and the halves (vertex, signed letter) of those edges."""
         g = self.graph
-        number, seq, parents = _bfs(0, g.adj)
-        assert all(number[v] == v for v in seq), "graph not in canonical form"
+        states, _, found = _walk(0, g.adj.__getitem__)
+        assert states == list(range(g.num_vertices)), "graph not in canonical form"
         # a tree path in a folded graph never backtracks, so it is reduced
         paths: list[Word] = [EPSILON] * g.num_vertices
         tree = set()
-        for v in seq[1:]:
-            p, a = parents[v]
+        for v, (p, a) in enumerate(found[1:], start=1):
             paths[v] = tuple.__new__(Word, paths[p] + (a,))
             tree.update(((p, a), (v, -a)))
         return tuple(paths), tree
@@ -560,19 +573,8 @@ class Subgroup:
 
 
 def _make_subgroup(rank: int, base, edges) -> Subgroup:
-    """The core graph of a folded connected graph, canonically numbered: each
-    vertex but the basepoint with at most one letter is pruned, and so is
-    the mirror of its half-edge at its neighbour, until none is left."""
-    adj = _adjacency(base, edges)
-    leaves = [v for v, letters in adj.items() if len(letters) <= 1 and v != base]
-    while leaves:
-        v = leaves.pop()
-        for a, w in adj.pop(v).items():
-            letters = adj[w]
-            del letters[-a]
-            if len(letters) == 1 and w != base:
-                leaves.append(w)
-    return Subgroup(_renumber(rank, base, adj))
+    """The subgroup of a folded connected graph given by its edges."""
+    return _component(rank, base, _adjacency(base, edges).__getitem__)
 
 
 def whole_group(rank: int) -> Subgroup:
@@ -599,31 +601,27 @@ def _require_same_rank(h, k) -> int:
     return h.rank
 
 
-def _component(rank: int, start, step, too_big) -> Subgroup:
-    """The subgroup whose graph is the component of start in a product graph.
+def _component(rank: int, start, step, too_big=None) -> Subgroup:
+    """The subgroup whose graph is the component of start in a folded graph.
 
-    step(state) lists (signed letter, next state) for the letters that
-    lead from state.  States are numbered as they are found, from start
-    at 0, and the positive edges go to _make_subgroup.  A state past the
-    vertex cap raises IndexCapError, which too_big(count, cap) words for
-    the operation: count is the number of states found so far.
+    step lists each state's letters in scan order, so the rows of _walk
+    (step, too_big) are the canonical table, unless a state but start has
+    at most one letter.  Then each such leaf is pruned, and so is the
+    mirror of its half-edge at its neighbour, until none is left, and the
+    rest is walked once more.
     """
-    cap = vertex_cap()
-    seen = {start: 0}
-    queue = [start]
-    edges = []
-    for state in queue:  # grows while it is read
-        pid = seen[state]
-        for a, nxt in step(state):
-            nid = seen.get(nxt)
-            if nid is None:
-                if len(seen) >= cap:
-                    raise _cap_error(too_big(len(seen), cap))
-                nid = seen[nxt] = len(seen)
-                queue.append(nxt)
-            if a > 0:
-                edges.append((pid, a, nid))
-    return _make_subgroup(rank, 0, edges)
+    _, rows, _ = _walk(start, step, too_big)
+    leaves = [v for v in range(1, len(rows)) if len(rows[v]) <= 1]
+    if leaves:
+        while leaves:
+            v = leaves.pop()
+            for a, w in rows[v].items():
+                letters = rows[w]
+                del letters[-a]
+                if len(letters) == 1 and w != 0:
+                    leaves.append(w)
+        _, rows, _ = _walk(0, rows.__getitem__)
+    return Subgroup(_graph(rank, rows))
 
 
 def intersect(h: Subgroup, k: Subgroup) -> Subgroup:
@@ -635,7 +633,7 @@ def intersect(h: Subgroup, k: Subgroup) -> Subgroup:
     def step(pair):
         u, v = pair
         next_k = adj_k[v]
-        return [(a, (x, y)) for a, x in adj_h[u].items() if (y := next_k.get(a)) is not None]
+        return {a: (x, y) for a, x in adj_h[u].items() if (y := next_k.get(a)) is not None}
 
     return _component(
         rank,
@@ -686,7 +684,7 @@ def conjugate_subgroup(h: Subgroup, g: Word) -> Subgroup:
     t = h.graph.trace(0, g)
     if t is not None:
         # same graph, basepoint moved to the endpoint of g
-        return _make_subgroup(h.rank, t, h.graph.edges)
+        return _component(h.rank, t, h.graph.adj.__getitem__)
     return from_generators(h.rank, [conjugate(b, g) for b in h.basis.elements])
 
 
@@ -703,7 +701,8 @@ def kernel_mod_p(rank: int, weights: Sequence[int], p: int) -> Subgroup:
     """Kernel of the map to Z/p sending generator i to weights[i-1].
 
     The coset graph has the residues as vertices and the i-labeled edge
-    r -> r + weights[i-1]; the component of 0 is the kernel's core graph.
+    r -> r + weights[i-1]; the walk from 0 numbers its component, the
+    kernel's core graph.
     """
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
@@ -714,13 +713,8 @@ def kernel_mod_p(rank: int, weights: Sequence[int], p: int) -> Subgroup:
     if all(w % p == 0 for w in weights):
         raise ValueError("all weights vanish mod p; the kernel is the whole group")
     _require_modulus_under_cap("kernel_mod_p", p)
-    # the component of 0 is the residues divisible by gcd(p, weights)
-    edges = [
-        (r, i, (r + w) % p)
-        for r in range(0, p, math.gcd(p, *weights))
-        for i, w in enumerate(weights, start=1)
-    ]
-    return _make_subgroup(rank, 0, edges)
+    moves = [(s * i, s * w) for i, w in enumerate(weights, start=1) for s in (1, -1)]
+    return _component(rank, 0, lambda r: {a: (r + w) % p for a, w in moves})
 
 
 def rewrite_over_basis(h: Subgroup, k: Subgroup) -> Subgroup:
@@ -782,11 +776,12 @@ def overgroups(h: Subgroup) -> list[Subgroup]:
 
     They are the stabilizers of the blocks containing the base coset, one
     per block system of the coset action; the core graph of each is the
-    quotient of H's cover by the system's classes.
+    quotient of H's cover by the system's classes: a block, named by its
+    least coset, moves where that coset does.
     """
     g = h.graph
     members = [
-        _make_subgroup(g.rank, 0, {(labels[u], l, labels[v]) for u, l, v in g.edges})
+        _component(g.rank, 0, lambda b: {a: labels[v] for a, v in g.adj[b].items()})
         for labels in _block_systems(g).values()
     ]
     return sorted(members, key=lambda s: (s.index(), s.graph.edges))
@@ -873,13 +868,13 @@ def graph_from_document(doc) -> CoreGraph:
     cap = vertex_cap()
     if len(adj) > cap:
         raise _cap_error(f"graph document: {len(adj)} vertices exceed the vertex cap ({cap})")
-    number, _, _ = _bfs(basepoint, adj)
-    if len(number) < len(adj):
+    _, rows, _ = _walk(basepoint, adj.__getitem__)
+    if len(rows) < len(adj):
         raise DocumentError("not connected: some vertex is unreachable from the basepoint")
     for v in sorted(adj):
         if len(adj[v]) <= 1 and v != basepoint:
             raise DocumentError(f"not a core graph: vertex {v} has degree {len(adj[v])}")
-    return _renumber(rank, basepoint, adj)
+    return _graph(rank, rows)
 
 
 def subgroup_from_document(doc) -> Subgroup:

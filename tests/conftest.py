@@ -87,3 +87,29 @@ def check_fold_tables():
     yield
     stallings._build_bouquet = build
     stallings._FoldGraph.folded_edges = read
+
+
+@pytest.fixture(autouse=True, scope="session")
+def check_walk_tables():
+    """Check the table of every graph built from a walk against its edges.
+
+    _graph takes the rows of a walk as the canonical table, which they are
+    only when each step listed its letters in scan order.  Every row must
+    equal, item by item and in order, the row _adjacency(0, edges) builds
+    from the graph's edges, so a step out of scan order fails the test
+    that reached it.
+    """
+    build = stallings._graph
+
+    def checked(rank, rows):
+        g = build(rank, rows)
+        table = stallings._adjacency(0, g.edges)
+        assert list(g.edges) == sorted(g.edges), "the edges are not sorted"
+        assert g.num_vertices == len(table), f"{g.num_vertices} rows for {len(table)} vertices"
+        for v, row in enumerate(g.adj):
+            assert list(row.items()) == list(table[v].items()), f"row {v} is out of scan order"
+        return g
+
+    stallings._graph = checked
+    yield
+    stallings._graph = build

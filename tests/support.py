@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from collections import deque
 from typing import Iterable, Optional, Sequence
@@ -32,7 +33,7 @@ from freecomm import (
     whole_group,
     witness_expresser,
 )
-from freecomm.stallings import VERTEX_CAP_ENV, _adjacency, _make_subgroup, _renumber, vertex_cap
+from freecomm.stallings import VERTEX_CAP_ENV, _block_systems, vertex_cap
 
 
 def random_word(rng: random.Random, rank: int, max_len: int = 8) -> Word:
@@ -442,7 +443,7 @@ def _fold_letter_by_letter(gens: Sequence[Word], witness: bool) -> TwoTableFoldG
 def from_generators_by_letters(rank: int, gens: Sequence[Word]) -> Subgroup:
     """Reference from_generators over the letter-by-letter fold."""
     base, edges = _fold_letter_by_letter(gens, False).folded_edges(0)
-    return _make_subgroup(rank, base, edges)
+    return Subgroup(make_subgroup_by_edge_sets(rank, base, edges))
 
 
 def expresser_by_letters(rank: int, gens: Sequence[Word]):
@@ -465,7 +466,7 @@ def join_by_wedge(h: Subgroup, k: Subgroup) -> Subgroup:
     for u, l, v in k.graph.edges:
         fg.add_edge(ids_k[u], l, ids_k[v])
     base, edges = fg.folded_edges(ids_h[0])
-    return _make_subgroup(h.rank, base, edges)
+    return Subgroup(make_subgroup_by_edge_sets(h.rank, base, edges))
 
 
 # Reference iso calculus: every map is validated by make_iso, and pulling a
@@ -690,7 +691,7 @@ def intersect_by_own_search(h: Subgroup, k: Subgroup) -> Subgroup:
                 queue.append((x, y))
             if a > 0:
                 edges.append((pid, a, nid))
-    return _make_subgroup(h.rank, 0, edges)
+    return Subgroup(make_subgroup_by_edge_sets(h.rank, 0, edges))
 
 
 def pull_back_by_own_search(alpha: PartialIso, k: Subgroup) -> Subgroup:
@@ -716,7 +717,7 @@ def pull_back_by_own_search(alpha: PartialIso, k: Subgroup) -> Subgroup:
                 nid = seen[pair] = len(seen)
                 queue.append(pair)
             edges.append((pid, l, nid))
-    return Subgroup(_renumber(alpha.rank, 0, _adjacency(0, edges)))
+    return Subgroup(canonical_by_two_tables(alpha.rank, 0, edges))
 
 
 def extend_pair_by_coset_search(phi1: PartialIso, phi2: PartialIso) -> PartialIso:
@@ -745,3 +746,29 @@ def extend_pair_by_coset_search(phi1: PartialIso, phi2: PartialIso) -> PartialIs
         rep = reach[graph2.trace(0, w)]
         images.append(concat(apply(phi1, rep), apply(phi2, concat(invert(rep), w))))
     return make_iso(j, from_generators(j.rank, images), images)
+
+
+# Reference covers: the edge lists kernel_mod_p and overgroups built before
+# they walked the residues and the blocks, pruned and renumbered by the
+# two-table reference.
+
+
+def kernel_by_edge_list(rank: int, weights: Sequence[int], p: int) -> Subgroup:
+    """The kernel onto Z/p: the i-labeled edge r -> r + weights[i-1] on the
+    residues divisible by gcd(p, weights), the component of 0."""
+    edges = [
+        (r, i, (r + w) % p)
+        for r in range(0, p, math.gcd(p, *weights))
+        for i, w in enumerate(weights, start=1)
+    ]
+    return Subgroup(make_subgroup_by_edge_sets(rank, 0, edges))
+
+
+def overgroups_by_quotient_edges(h: Subgroup) -> list[Subgroup]:
+    """The quotients of H's cover by each block system, as edge sets."""
+    g = h.graph
+    members = [
+        Subgroup(make_subgroup_by_edge_sets(g.rank, 0, {(labels[u], l, labels[v]) for u, l, v in g.edges}))
+        for labels in _block_systems(g).values()
+    ]
+    return sorted(members, key=lambda s: (s.index(), s.graph.edges))

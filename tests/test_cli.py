@@ -13,7 +13,9 @@ from pathlib import Path
 
 import freecomm
 from freecomm import (
+    graph_from_document,
     graph_to_document,
+    graph_to_dot,
     identity_iso,
     iso_to_document,
     kernel_mod_p,
@@ -173,6 +175,9 @@ def test_iso_compose_invert_equiv(tmp_path):
     assert (code, out.strip()) == (1, "false")
     code, out, _ = invoke("iso", "equiv", "--bruteforce", "36", swap, ident)
     assert (code, out.strip()) == (1, "false")
+    code, out, err = invoke("iso", "equiv", swap, swap, "--bruteforce", "-1")
+    assert (code, out) == (2, "")
+    assert "max_index must be positive, got -1" in err
     code, out, _ = invoke("iso", "invert", swap)
     assert code == 0
     inverted = write_doc(tmp_path / "inv.json", json.loads(out))
@@ -289,6 +294,21 @@ def test_paper_parameter_validation():
     assert code == 2
     code, _, err = invoke("paper", "hnn", "--n", "2", "--bound", "10")
     assert code == 2
+    code, out, err = invoke("paper", "bs", "--k", "2", "--p", "5", "--samples", "-5")
+    assert (code, out) == (2, "")
+    assert "samples must be positive" in err
+
+
+def test_scenario_work_is_refused_at_once():
+    for argv, asked in (
+        (("paper", "hnn", "--n", "3", "--bound", "100000"), "120000000000 power-sum terms"),
+        (("paper", "bs", "--k", "2", "--p", "5", "--samples", "100000000"), "100000000 samples"),
+    ):
+        start = time.perf_counter()
+        code, out, err = invoke(*argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert asked in err and "exceed the work limit (100000)" in err
 
 
 def test_export_dot_and_text(tmp_path):
@@ -372,6 +392,23 @@ def test_sparse_graph_of_huge_rank_from_stdin(monkeypatch):
     code, out, err = invoke("subgroup", "index", "-")
     assert time.perf_counter() - start < 1
     assert (code, out, err) == (0, "infinite\n", "")
+
+
+def test_one_edge_document_of_rank_10_to_the_21(tmp_path):
+    # each per-rank loop runs only after a cover check, which this graph fails
+    rank = 10**21
+    doc = {"rank": rank, "basepoint": 0, "edges": [[0, 0, rank]]}
+    staged = write_doc(tmp_path / "huge.json", doc)
+    for argv, expected in (
+        (("subgroup", "index", staged), (0, "infinite\n", "")),
+        (("subgroup", "basis", staged), (2, "", "error: text form supports at most 26 generators\n")),
+        (("subgroup", "intersect", staged, staged), (0, json.dumps(doc, indent=2) + "\n", "")),
+        (("subgroup", "join", staged, staged), (0, json.dumps(doc, indent=2) + "\n", "")),
+        (("export", "dot", staged), (0, graph_to_dot(graph_from_document(doc)), "")),
+    ):
+        start = time.perf_counter()
+        assert invoke(*argv) == expected
+        assert time.perf_counter() - start < 1
 
 
 def test_closed_stdout_exits_quietly():

@@ -208,6 +208,9 @@ def test_bruteforce_oracle_examples():
     assert not equivalent_bruteforce(swap, identity_iso(swap.domain), 36)
     sub = intersect(swap.domain, kernel_mod_p(2, (1, 1), 2))
     assert equivalent_bruteforce(swap, restrict(swap, sub), 36)
+    for bound in (0, -1):
+        with pytest.raises(ValueError, match="max_index must be positive"):
+            equivalent_bruteforce(swap, swap, bound)
 
 
 @given(seeds)

@@ -4,6 +4,8 @@ Each case is a folded connected graph given as raw edges with a basepoint:
 a random cover with its vertices renamed and its basepoint moved, the fold
 of random generators (which leaves trees hanging), the unpruned fiber
 product of two such folds, and sparse copies of these in rank 10^8.
+Kernels onto Z/p, numbered by the walk over residues, are checked against
+the edge list they were built from before.
 """
 
 import random
@@ -11,13 +13,21 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freecomm import InfiniteIndexError, NotInSubgroupError, Word, apply_hom, from_generators
-from freecomm.stallings import _adjacency, _build_bouquet, _make_subgroup, _renumber
+from freecomm import (
+    InfiniteIndexError,
+    NotInSubgroupError,
+    Word,
+    apply_hom,
+    from_generators,
+    kernel_mod_p,
+)
+from freecomm.stallings import _adjacency, _build_bouquet, _graph, _make_subgroup, _walk
 from support import (
     basis_by_two_tables,
     canonical_by_two_tables,
     express_in_basis_by_two_tables,
     fiber_product_edges,
+    kernel_by_edge_list,
     make_subgroup_by_edge_sets,
     random_cover,
     random_word,
@@ -63,8 +73,8 @@ def words_over(rng, labels, count):
 
 
 def check(rng, rank, base, edges, labels):
-    numbered = _renumber(rank, base, _adjacency(base, edges))
-    assert numbered == canonical_by_two_tables(rank, base, edges)
+    _, rows, _ = _walk(base, _adjacency(base, edges).__getitem__)
+    assert _graph(rank, rows) == canonical_by_two_tables(rank, base, edges)
     h = _make_subgroup(rank, base, edges)
     assert h.graph == make_subgroup_by_edge_sets(rank, base, edges)
     paths, _, _ = tree_by_two_tables(h.graph)
@@ -99,3 +109,11 @@ def test_sparse_core_graphs_of_huge_rank_match_reference(seed, case):
     rng = random.Random(seed)
     base, edges, labels = sparse(rng, case)
     check(rng, HUGE_RANK, base, edges, labels)
+
+
+@pytest.mark.parametrize("weights", [(1, 0), (1, 1), (1, 2, 0)])
+def test_kernels_match_edge_list(weights):
+    for p in range(2, 61):
+        h = kernel_mod_p(len(weights), weights, p)
+        assert h == kernel_by_edge_list(len(weights), weights, p)
+        assert h.basis.elements == basis_by_two_tables(h.graph)

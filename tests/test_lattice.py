@@ -1,5 +1,6 @@
 """The overgroup lattice: overgroups and subindex against the folding
-reference, and join against the wedge folded by the two-table reference folder."""
+reference, the quotient covers against their edge sets, and join against
+the wedge folded by the two-table reference folder."""
 
 import random
 
@@ -17,7 +18,13 @@ from freecomm import (
     subindex,
     whole_group,
 )
-from support import join_by_wedge, lattice_by_joins, random_cover, random_word
+from support import (
+    join_by_wedge,
+    lattice_by_joins,
+    overgroups_by_quotient_edges,
+    random_cover,
+    random_word,
+)
 
 
 def elementary_abelian_kernel(k):
@@ -30,7 +37,7 @@ def elementary_abelian_kernel(k):
 
 def assert_matches_reference(h):
     lattice, reference_subindex = lattice_by_joins(h)
-    assert overgroups(h) == lattice
+    assert overgroups(h) == lattice == overgroups_by_quotient_edges(h)
     assert subindex(h) == reference_subindex
 
 

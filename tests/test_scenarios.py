@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from freecomm import (
     BSElement,
     IndexCapError,
+    WorkLimitError,
     bs_element,
     bs_image_index,
     bs_inv,
@@ -253,3 +254,25 @@ def test_prime_test_matches_trial_division():
     assert _is_prime(10 ** 18 + 3) and _is_prime(2 ** 61 - 1)
     with pytest.raises(ValueError, match="too large"):
         _is_prime(2 ** 89 - 1)
+
+
+def test_scans_are_held_to_the_work_limit():
+    from freecomm.scenarios import WORK_LIMIT
+
+    assert hnn_obstruction(4, 50) == []  # the largest scan of this suite
+    for call, refusal in (
+        (lambda: hnn_obstruction(3, 10**5), r"hnn_obstruction: 120000000000 power-sum terms \(n=3, bound 100000\)"),
+        (lambda: hnn_report(3, 10**5), r"hnn_obstruction: 120000000000 power-sum terms"),
+        (lambda: bs_report(2, 5, samples=10**8), r"bs_report: 100000000 samples"),
+        (lambda: bs_report(2, 5, samples=WORK_LIMIT + 1), rf"bs_report: {WORK_LIMIT + 1} samples"),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(WorkLimitError, match=refusal + rf".* exceed the work limit \({WORK_LIMIT}\)"):
+            call()
+        assert time.perf_counter() - start < 1
+
+
+def test_bs_report_needs_a_sample():
+    for samples in (-5, 0):
+        with pytest.raises(ValueError, match="samples must be positive"):
+            bs_report(2, 5, samples=samples)
