@@ -72,8 +72,10 @@ def _read_json(path: str):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise _CliError(f"{path}: not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise _CliError(f"{path}: not valid JSON: nested too deeply") from exc
     except OSError as exc:
         raise _CliError(f"{path}: {exc.strerror or exc}") from exc
 

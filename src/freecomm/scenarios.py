@@ -31,6 +31,7 @@ from .commensurator import (
 from .errors import WorkLimitError
 from .stallings import (
     _require_modulus_under_cap,
+    _walk,
     from_generators,
     graph_to_document,
     is_normal,
@@ -403,17 +404,7 @@ def bs_image_index(k: int, p: int) -> int:
     if math.gcd(p, k) != 1:
         raise ValueError(f"p={p} shares a factor with k={k}; the index is not defined here")
     _require_modulus_under_cap("bs_image_index", p)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for r in frontier:
-            for s in ((r + 1) % p, (r * k) % p):
-                if s not in seen:
-                    seen.add(s)
-                    nxt.append(s)
-        frontier = nxt
-    return len(seen)
+    return len(_walk(0, lambda r: {1: (r + 1) % p, 2: r * k % p})[0])
 
 
 def _bs_sample(rng: random.Random, k: int) -> BSElement:

@@ -13,14 +13,15 @@ graphs compare equal.  One walk numbers every graph built here (a fold,
 a product of two graphs, the residues of a kernel, the blocks of a
 quotient, a document): it reads each state's letters in scan order, so
 it finds the states in canonical order and its rows are the table.  Only
-a graph with hanging trees is pruned and walked once more.
+a graph with hanging trees is pruned and walked once more.  It is the
+package's one search: the block systems of a cover are its states too.
 
 Finite index corresponds to the graph being a cover (every vertex has
 all 2·rank letters); the index is then the vertex count.  Graph
 constructions fail fast once the graph they build would exceed a
 configurable vertex cap (FREECOMM_INDEX_CAP, default 10 000); folding
-counts the live vertices of the folded graph, and a graph document is
-held to the cap too.
+counts the live vertices of the folded graph, and a graph document and
+the number of block systems are held to the cap too.
 
 Folding optionally carries witness words: each vertex and edge remembers
 how it was reached as a product of the input generators (the two halves
@@ -651,9 +652,9 @@ def join(h: Subgroup, k: Subgroup) -> Subgroup:
     """Smallest subgroup containing both: fold K's graph onto H's as it is read.
 
     H's graph is folded already and goes in as it stands.  K's vertices
-    are placed breadth-first from its basepoint: one reached along an
-    edge the folded graph already has takes that edge's endpoint, and
-    only one reached along a missing edge gets a fresh vertex, so the
+    are placed in canonical order, which is breadth first: one reached
+    along an edge the folded graph already has takes that edge's endpoint,
+    and only one reached along a missing edge gets a fresh vertex, so the
     live count follows the folded join rather than the wedge of the two.
     """
     rank = _require_same_rank(h, k)
@@ -662,15 +663,13 @@ def join(h: Subgroup, k: Subgroup) -> Subgroup:
     for halves, letters in zip(fg.adj, h.graph.adj):
         halves.update((a, (v, None)) for a, v in letters.items())
     gk = k.graph
-    place = {0: 0}  # vertex of K -> vertex of the fold
-    queue = [0]
-    for x in queue:  # grows while it is read
-        for a, y in gk.adj[x].items():
+    place = [0] + [None] * (gk.num_vertices - 1)  # vertex of K -> vertex of the fold
+    for x, letters in enumerate(gk.adj):  # canonical, so x was placed already
+        for a, y in letters.items():
             u = fg.find(place[x])
-            if y not in place:
+            if place[y] is None:
                 e = fg.adj[u].get(a)
                 place[y] = fg._grow(1) if e is None else e[0]
-                queue.append(y)
                 if e is not None:
                     continue  # the edge is there already
             fg.add_edge(u, a, place[y])
@@ -726,16 +725,19 @@ def rewrite_over_basis(h: Subgroup, k: Subgroup) -> Subgroup:
     return from_generators(m, [h.express_in_basis(b) for b in k.basis.elements])
 
 
-def _block_systems(graph: CoreGraph) -> dict:
+def _block_systems(graph: CoreGraph):
     """Every block system of the coset action of a finite-index subgroup.
 
-    Label l permutes the n cosets (vertices) by v -> adj[v][l].  Maps the
-    block of the base coset 0 to the labelling of all cosets by the least
-    member of their block.  coarsen(P, v) is the finest system coarser than P
-    with 0 ~ v, by union-find closure (Atkinson, Math. Comp. 1975); forward
-    images suffice as each label is a bijection of a finite set.  Joining
-    each system found with one coset of each other class reaches every
+    Label l permutes the n cosets (vertices) by v -> adj[v][l].  A system
+    labels every coset by the least member of its block, and the walk
+    starts from the finest one.  coarsen(P, v) is the finest system coarser
+    than P with 0 ~ v, by union-find closure (Atkinson, Math. Comp. 1975);
+    forward images suffice as each label is a bijection of a finite set.
+    Joining each system with one coset of each other class reaches every
     system, since a block is the union of the minimal blocks of its members.
+    Returns (systems, rows): rows[i] maps each class representative v of
+    system i to the number of the system it joins into.  More systems than
+    the vertex cap raise IndexCapError.
     """
     if not graph.is_cover():
         raise InfiniteIndexError("block systems need finite index")
@@ -757,18 +759,16 @@ def _block_systems(graph: CoreGraph) -> dict:
             if x != y:
                 parent[max(x, y)] = min(x, y)
                 pairs.extend((s[x], s[y]) for s in perms)
-        labels = tuple(map(find, range(n)))
-        return frozenset(x for x in range(n) if labels[x] == 0), labels
+        return tuple(map(find, range(n)))
 
-    systems = {frozenset([0]): tuple(range(n))}
-    queue = list(systems.values())
-    for labels in queue:  # grows while it is read
-        for v in set(labels) - {0}:
-            block, joined = coarsen(labels, v)
-            if block not in systems:
-                systems[block] = joined
-                queue.append(joined)
-    return systems
+    return _walk(
+        tuple(range(n)),
+        lambda labels: {v: coarsen(labels, v) for v in set(labels) - {0}},
+        lambda count, cap: (
+            f"block systems: an index-{n} subgroup has more overgroups than the vertex cap "
+            f"({cap}); {count} found so far"
+        ),
+    )[:2]
 
 
 def overgroups(h: Subgroup) -> list[Subgroup]:
@@ -782,7 +782,7 @@ def overgroups(h: Subgroup) -> list[Subgroup]:
     g = h.graph
     members = [
         _component(g.rank, 0, lambda b: {a: labels[v] for a, v in g.adj[b].items()})
-        for labels in _block_systems(g).values()
+        for labels in _block_systems(g)[0]
     ]
     return sorted(members, key=lambda s: (s.index(), s.graph.edges))
 
@@ -793,14 +793,20 @@ def subindex(h: Subgroup) -> int:
 
     A minimax path weight over the overgroup interval, which suffices
     because any chain can be intersected down into it.  Overgroups are the
-    blocks B of the base coset, K <= K' is B <= B' and [K' : K] = |B'|/|B|,
-    so one pass in order of size settles each block from the smaller ones.
+    blocks B of the base coset, and K <= K' is B <= B' with [K' : K] =
+    |B'|/|B|.  The joins of the enumeration are enough edges: if B < B',
+    then B' is a union of classes of B's system, so joining one of them
+    gives a block C with B < C <= B', and the chain built so has every
+    step at most |B'|/|B|.  One pass in order of size, relaxing along the
+    joins, settles each block from the smaller ones.
     """
-    blocks = sorted(_block_systems(h.graph), key=len)
-    best = [1]
-    for b in blocks[1:]:
-        best.append(min(max(d, len(b) // len(a)) for a, d in zip(blocks, best) if a < b))
-    return best[-1]
+    systems, rows = _block_systems(h.graph)
+    size = [labels.count(0) for labels in systems]
+    best = [1] + [math.inf] * (len(systems) - 1)
+    for i in sorted(range(len(systems)), key=size.__getitem__):
+        for j in rows[i].values():
+            best[j] = min(best[j], max(best[i], size[j] // size[i]))
+    return best[i]  # the last system in order of size is the whole group
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from freecomm import (
     whole_group,
     witness_expresser,
 )
-from freecomm.stallings import VERTEX_CAP_ENV, _block_systems, vertex_cap
+from freecomm.stallings import VERTEX_CAP_ENV, vertex_cap
 
 
 def random_word(rng: random.Random, rank: int, max_len: int = 8) -> Word:
@@ -81,6 +81,16 @@ def random_cover(rng: random.Random, rank: int, index: int) -> Subgroup:
             edges.append([v, perm[v], label])
     doc = {"rank": rank, "basepoint": 0, "edges": edges}
     return subgroup_from_document(doc)
+
+
+def abelian_kernel(moduli: Sequence[int]) -> Subgroup:
+    """Kernel of F_k -> Z/m_1 x ... x Z/m_k sending generator i to the i-th
+    unit vector, for the k moduli given."""
+    k = len(moduli)
+    h = whole_group(k)
+    for i, m in enumerate(moduli):
+        h = intersect(h, kernel_mod_p(k, [int(j == i) for j in range(k)], m))
+    return h
 
 
 IDENTITY_IMAGES = {
@@ -769,6 +779,72 @@ def overgroups_by_quotient_edges(h: Subgroup) -> list[Subgroup]:
     g = h.graph
     members = [
         Subgroup(make_subgroup_by_edge_sets(g.rank, 0, {(labels[u], l, labels[v]) for u, l, v in g.edges}))
-        for labels in _block_systems(g).values()
+        for labels in block_systems_by_queue(g).values()
     ]
     return sorted(members, key=lambda s: (s.index(), s.graph.edges))
+
+
+# Reference lattice: the block systems as the library enumerated them with
+# its own queue and a dict keyed by the block of the base coset, and the
+# subindex as a minimax over every containment of two blocks, before both
+# read the walk of block systems and its joins.
+
+
+def block_systems_by_queue(graph: CoreGraph) -> dict:
+    """Every block system of the coset action: the block of the base coset
+    to the labelling of all cosets by the least member of their block."""
+    n = graph.num_vertices
+    perms = [[graph.adj[v][l] for v in range(n)] for l in range(1, graph.rank + 1)]
+
+    def coarsen(labels, v):
+        parent = list(labels)
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        pairs = [(0, v)]
+        while pairs:
+            x, y = pairs.pop()
+            x, y = find(x), find(y)
+            if x != y:
+                parent[max(x, y)] = min(x, y)
+                pairs.extend((s[x], s[y]) for s in perms)
+        labels = tuple(map(find, range(n)))
+        return frozenset(x for x in range(n) if labels[x] == 0), labels
+
+    systems = {frozenset([0]): tuple(range(n))}
+    queue = list(systems.values())
+    for labels in queue:  # grows while it is read
+        for v in set(labels) - {0}:
+            block, joined = coarsen(labels, v)
+            if block not in systems:
+                systems[block] = joined
+                queue.append(joined)
+    return systems
+
+
+def subindex_by_subset_tests(h: Subgroup) -> int:
+    """The minimax over the blocks in order of size, each settled from every
+    smaller block it contains."""
+    blocks = sorted(block_systems_by_queue(h.graph), key=len)
+    best = [1]
+    for b in blocks[1:]:
+        best.append(min(max(d, len(b) // len(a)) for a, d in zip(blocks, best) if a < b))
+    return best[-1]
+
+
+def bs_image_index_by_frontier(k: int, p: int) -> int:
+    """The orbit of 0 under r -> r + 1 and r -> k·r mod p, level by level."""
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for r in frontier:
+            for s in ((r + 1) % p, (r * k) % p):
+                if s not in seen:
+                    seen.add(s)
+                    nxt.append(s)
+        frontier = nxt
+    return len(seen)

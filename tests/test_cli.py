@@ -23,6 +23,7 @@ from freecomm import (
     whole_group,
 )
 from freecomm.cli import run
+from support import abelian_kernel
 
 
 def invoke(*argv):
@@ -338,6 +339,24 @@ def test_malformed_documents_name_the_invariant(tmp_path):
     assert code == 2
 
 
+def test_deeply_nested_documents_exit_2(tmp_path, monkeypatch):
+    deep = "[" * 100_000 + "]" * 100_000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    for argv in (("subgroup", "index", str(path)), ("iso", "invert", str(path))):
+        assert invoke(*argv) == (2, "", f"error: {path}: not valid JSON: nested too deeply\n")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(deep))
+    assert invoke("subgroup", "index", "-") == (2, "", "error: -: not valid JSON: nested too deeply\n")
+
+
+def test_undecodable_document_names_its_path(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"rank": "\xe9"}')
+    code, out, err = invoke("subgroup", "index", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: not valid JSON: 'utf-8' codec can't decode")
+
+
 def test_boolean_document_fields_exit_2(tmp_path):
     graph = write_doc(tmp_path / "g.json", {"rank": True, "basepoint": 0, "edges": [[0, 0, True]]})
     code, out, err = invoke("subgroup", "index", graph)
@@ -446,6 +465,18 @@ def test_graph_documents_are_held_to_the_cap(tmp_path):
     env["FREECOMM_INDEX_CAP"] = str(n)
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=30)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "20001\n", "")
+
+
+def test_block_systems_are_held_to_the_cap(tmp_path):
+    # the kernel onto (Z/2)^6 has index 64 and 2,825 block systems
+    staged = write_doc(tmp_path / "z2_6.json", graph_to_document(abelian_kernel((2,) * 6).graph))
+    src = os.path.dirname(os.path.dirname(freecomm.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "FREECOMM_INDEX_CAP": "500"}
+    argv = [sys.executable, "-m", "freecomm.cli", "subgroup", "subindex", staged]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "block systems: an index-64 subgroup has more overgroups than the vertex cap (500)" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_kernel_rejects_trivial_weights():

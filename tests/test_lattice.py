@@ -1,5 +1,6 @@
 """The overgroup lattice: overgroups and subindex against the folding
-reference, the quotient covers against their edge sets, and join against
+reference and against the queue enumeration with its minimax over every
+containment, the quotient covers against their edge sets, and join against
 the wedge folded by the two-table reference folder."""
 
 import random
@@ -8,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freecomm import (
+    IndexCapError,
     InfiniteIndexError,
     from_generators,
-    intersect,
     join,
     kernel_mod_p,
     overgroups,
@@ -18,21 +19,17 @@ from freecomm import (
     subindex,
     whole_group,
 )
+from freecomm.stallings import _block_systems
 from support import (
+    abelian_kernel,
+    block_systems_by_queue,
     join_by_wedge,
     lattice_by_joins,
     overgroups_by_quotient_edges,
     random_cover,
     random_word,
+    subindex_by_subset_tests,
 )
-
-
-def elementary_abelian_kernel(k):
-    """Kernel of F_k -> (Z/2)^k sending generator i to the i-th unit vector."""
-    h = whole_group(k)
-    for i in range(k):
-        h = intersect(h, kernel_mod_p(k, [int(j == i) for j in range(k)], 2))
-    return h
 
 
 def assert_matches_reference(h):
@@ -50,9 +47,49 @@ def test_random_covers_match_reference(seed):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_elementary_abelian_kernels_match_reference(k):
-    h = elementary_abelian_kernel(k)
+    h = abelian_kernel((2,) * k)
     assert h.index() == 2 ** k
     assert_matches_reference(h)
+
+
+def assert_matches_queue_reference(h):
+    systems, rows = _block_systems(h.graph)
+    assert len(set(systems)) == len(systems)
+    assert set(systems) == set(block_systems_by_queue(h.graph).values())
+    # each join goes to a strictly coarser system
+    for labels, row in zip(systems, rows):
+        assert all(systems[j].count(0) > labels.count(0) for j in row.values())
+    assert subindex(h) == subindex_by_subset_tests(h)
+    assert overgroups(h) == overgroups_by_quotient_edges(h)
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6))
+@settings(deadline=None, max_examples=60)
+def test_random_covers_match_queue_reference(seed):
+    rng = random.Random(seed)
+    assert_matches_queue_reference(random_cover(rng, rng.choice((2, 3)), rng.randrange(1, 13)))
+
+
+@pytest.mark.parametrize("moduli", [(2,) * k for k in range(1, 6)] + [(6, 12), (2, 12)])
+def test_abelian_kernels_match_queue_reference(moduli):
+    assert_matches_queue_reference(abelian_kernel(moduli))
+
+
+def test_cyclic_kernels_match_queue_reference():
+    for p in range(2, 61):
+        assert_matches_queue_reference(kernel_mod_p(2, (1, 0), p))
+
+
+def test_block_systems_are_held_to_the_cap(monkeypatch):
+    h = abelian_kernel((2,) * 5)  # 374 block systems
+    monkeypatch.setenv("FREECOMM_INDEX_CAP", "374")
+    assert len(overgroups(h)) == 374
+    assert subindex(h) == 2
+    monkeypatch.setenv("FREECOMM_INDEX_CAP", "373")
+    message = r"an index-32 subgroup has more overgroups than the vertex cap \(373\); 373 found"
+    for call in (overgroups, subindex):
+        with pytest.raises(IndexCapError, match=message):
+            call(h)
 
 
 def test_infinite_index_is_rejected():

@@ -27,6 +27,7 @@ from freecomm import (
     report_to_document,
     subgroup_from_document,
 )
+from support import bs_image_index_by_frontier
 
 PAIR_SET = [(-1, 1), (1, -1)]
 
@@ -129,6 +130,13 @@ def test_bs_psi_examples():
         bs_image_index(2, 6)
     with pytest.raises(ValueError):
         bs_image_index(6, 3)
+
+
+@pytest.mark.parametrize("k", [s * m for m in range(2, 8) for s in (1, -1)])
+def test_bs_image_index_matches_frontier_reference(k):
+    for p in range(2, 61):
+        if math.gcd(p, k) == 1:
+            assert bs_image_index(k, p) == bs_image_index_by_frontier(k, p)
 
 
 bs_nums = st.integers(min_value=-200, max_value=200)
