@@ -201,7 +201,7 @@ def _pull_back(alpha: PartialIso, k: Subgroup) -> Subgroup:
     g, images = alpha.domain.graph, alpha.images
     adj, trace = g.adj, k.graph.trace
     spell = {}  # off-tree half-edge -> the word its crossing moves a coset along
-    for (v, a), i in alpha.domain._basis_index.items():
+    for (v, a), i in alpha.domain._tree[1].items():
         spell[v, a] = images[i - 1] if i > 0 else invert(images[-i - 1])
 
     def step(pair):

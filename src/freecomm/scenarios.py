@@ -63,36 +63,10 @@ __all__ = [
 ]
 
 
-_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin test.
-
-    The first thirteen primes as bases decide every n below 3.3e24
-    (Sorenson and Webster, Math. Comp. 2017); larger n raise ValueError.
-    """
-    if n < 2:
-        return False
-    for q in _PRIME_BASES:
-        if n % q == 0:
-            return n == q
-    if n >= 3_317_044_064_679_887_385_961_981:
-        raise ValueError(f"{n} is too large for the deterministic primality test")
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _PRIME_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division: _require_prime holds n to the vertex cap first, so
+    this makes at most √cap divisions, fewer than the p-vertex walk after."""
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 # The most work one scenario scan may ask for: power-sum terms of
@@ -108,7 +82,7 @@ def _require_work_under_limit(op: str, asked: str, count: int) -> None:
 
 def _require_prime(op: str, p: int) -> None:
     """The modulus guard of the scenarios: p is held to the vertex cap first,
-    which bounds the work it asks for and keeps it in range of _is_prime."""
+    which bounds the work it asks for, the primality test's included."""
     _require_modulus_under_cap(op, p)
     if not _is_prime(p):
         raise ValueError(f"expected a prime, got {p}")

@@ -6,15 +6,18 @@ graph: a based, edge-labeled digraph in which words trace paths (letter
 is "traces a closed loop at the basepoint".  Every walk reads one table:
 adj[v][a] is where the signed letter a leads from v, listed at each
 vertex in scan order +1, -1, +2, -2, ...  The folder keeps the same
-table on its union-find roots, so folding walks it the same way.  The
-graph is kept in canonical form (breadth-first numbering from the
-basepoint, in scan order), so two subgroups are equal exactly when their
-graphs compare equal.  One walk numbers every graph built here (a fold,
-a product of two graphs, the residues of a kernel, the blocks of a
-quotient, a document): it reads each state's letters in scan order, so
-it finds the states in canonical order and its rows are the table.  Only
-a graph with hanging trees is pruned and walked once more.  It is the
-package's one search: the block systems of a cover are its states too.
+table on its union-find roots, so folding walks it the same way, and a
+finished fold hands that table straight to the walk.  The graph is kept
+in canonical form (breadth-first numbering from the basepoint, in scan
+order), so two subgroups are equal exactly when their graphs compare
+equal.  One walk numbers every graph built here (a fold, a product of
+two graphs, the residues of a kernel, the blocks of a quotient, a
+document): it reads each state's letters in scan order, so it finds the
+states in canonical order and its rows are the table.  Only a graph with
+hanging trees is pruned and walked once more.  It is the package's one
+search: the block systems of a cover are its states too.  As the table
+is canonical, one pass over it, row by row, gives the spanning tree and
+the off-tree edges that index the free basis.
 
 Finite index corresponds to the graph being a cover (every vertex has
 all 2·rank letters); the index is then the vertex count.  Graph
@@ -173,10 +176,9 @@ def _walk(start, step, too_big=None):
     """Number the states reachable from start, breadth first.
 
     step(state) maps each signed letter that leads from state to the next
-    state.  Returns (states, rows, found): the states in the order found,
-    from start at 0; rows[i], mapping the i-th state's letters, in step's
-    order, to numbers; and found[i] = (number, letter), the edge that
-    found it.  When step lists letters in scan order, rows is the
+    state.  Returns (states, rows): the states in the order found, from
+    start at 0, and rows[i], mapping the i-th state's letters, in step's
+    order, to numbers.  When step lists letters in scan order, rows is the
     canonical table (a coset table standardised as in Sims 1994).  With
     too_big, a state past the vertex cap raises IndexCapError, which
     too_big(count, cap) words for the operation, count being the states
@@ -184,7 +186,7 @@ def _walk(start, step, too_big=None):
     """
     cap = vertex_cap() if too_big else math.inf
     number = {start: 0}
-    states, rows, found = [start], [], [None]
+    states, rows = [start], []
     for state in states:  # grows while it is read
         row = {}
         for a, nxt in step(state).items():
@@ -194,10 +196,9 @@ def _walk(start, step, too_big=None):
                     raise _cap_error(too_big(len(states), cap))
                 n = number[nxt] = len(states)
                 states.append(nxt)
-                found.append((len(rows), a))
             row[a] = n
         rows.append(row)
-    return states, rows, found
+    return states, rows
 
 
 def _graph(rank: int, rows: list) -> CoreGraph:
@@ -277,8 +278,6 @@ class _FoldGraph:
     # -- edge insertion and folding
 
     def add_edge(self, u: int, letter: int, v: int, aux: Optional[Word] = None) -> None:
-        if self.witness and aux is None:
-            aux = EPSILON
         self.pending.append(("e", u, letter, v, aux))
         self._drain()
 
@@ -394,15 +393,17 @@ class _FoldGraph:
         aux = (mid if j - i == 1 else EPSILON) if self.witness else None
         self.add_edge(pos, w[j - 1], v, aux)
 
-    def folded_edges(self, base: int) -> tuple[int, set]:
-        """The folded graph's basepoint and edges (source, label, target),
-        read off the positive halves."""
-        edges = set()
-        for r, halves in enumerate(self.adj):
-            for a, (t_id, _w) in halves.items():
-                if a > 0:
-                    edges.add((r, a, self.find(t_id)))
-        return self.find(base), edges
+    def root_table(self, base: int):
+        """(root of base, step): the folded graph as _component reads it;
+        step(r) lists root r's halves in scan order, each target's root."""
+        adj, find = self.adj, self.find
+
+        def step(r):
+            halves = adj[r]
+            order = sorted(halves, key=lambda a: (abs(a), -a))  # +1, -1, +2, -2, ...
+            return {a: find(halves[a][0]) for a in order}
+
+        return find(base), step
 
     # -- witness tracing
 
@@ -501,30 +502,31 @@ class Subgroup:
 
     @cached_property
     def _tree(self):
-        """(paths, tree): base-to-vertex words along the edges by which the walk
-        finds each vertex, and the halves (vertex, signed letter) of those edges."""
-        g = self.graph
-        states, _, found = _walk(0, g.adj.__getitem__)
-        assert states == list(range(g.num_vertices)), "graph not in canonical form"
-        # a tree path in a folded graph never backtracks, so it is reduced
-        paths: list[Word] = [EPSILON] * g.num_vertices
-        tree = set()
-        for v, (p, a) in enumerate(found[1:], start=1):
-            paths[v] = tuple.__new__(Word, paths[p] + (a,))
-            tree.update(((p, a), (v, -a)))
-        return tuple(paths), tree
+        """(paths, index), read in one pass over the canonical table.
 
-    @cached_property
-    def _basis_index(self) -> dict:
-        """Each half-edge (vertex, signed letter) off the spanning tree to
-        ±(i+1), for the i-th off-tree edge in sorted order."""
-        _, tree = self._tree
+        paths[v] is the base-to-v word along the edge by which the walk
+        found v: the table is canonical, so that edge is the half where v
+        first appears, row by row.  index maps each half-edge (vertex,
+        signed letter) off the spanning tree to ±i, for the i-th off-tree
+        edge in sorted order.  A half (u, a) with a > 0 is off the tree
+        unless it finds a new vertex or leads back along u's tree edge.
+        """
+        paths: list[Word] = [EPSILON]
+        back = [None]  # back[v] = the letter from v back along its tree edge
         index: dict = {}
-        off_tree = (e for e in self.graph.edges if e[:2] not in tree)
-        for i, (u, l, v) in enumerate(off_tree, start=1):
-            index[u, l] = i
-            index[v, -l] = -i
-        return index
+        for u, row in enumerate(self.graph.adj):
+            assert u < len(paths), "graph not in canonical form"
+            for a, v in row.items():
+                if v >= len(paths):
+                    assert v == len(paths), "graph not in canonical form"
+                    # a tree path in a folded graph never backtracks, so it is reduced
+                    paths.append(tuple.__new__(Word, paths[u] + (a,)))
+                    back.append(-a)
+                elif a > 0 and a != back[u]:
+                    i = len(index) // 2 + 1
+                    index[u, a] = i
+                    index[v, -a] = -i
+        return tuple(paths), index
 
     @cached_property
     def basis(self) -> Basis:
@@ -538,7 +540,7 @@ class Subgroup:
         g = self.graph
         elements = tuple(
             tuple.__new__(Word, paths[u] + (l,) + invert(paths[g.adj[u][l]]))
-            for (u, l), i in self._basis_index.items()
+            for (u, l), i in self._tree[1].items()
             if i > 0
         )
         return Basis(elements=elements)
@@ -552,7 +554,7 @@ class Subgroup:
         for a Word it is reduced as read.
         """
         _require_rank(w, self.rank, "word")
-        adj, index = self.graph.adj, self._basis_index
+        adj, index = self.graph.adj, self._tree[1]
         pos: Optional[int] = 0
         letters: list[int] = []
         for a in w:
@@ -573,11 +575,6 @@ class Subgroup:
         return self._tree[0]
 
 
-def _make_subgroup(rank: int, base, edges) -> Subgroup:
-    """The subgroup of a folded connected graph given by its edges."""
-    return _component(rank, base, _adjacency(base, edges).__getitem__)
-
-
 def whole_group(rank: int) -> Subgroup:
     """The full free group as a subgroup of itself (a one-vertex rose)."""
     if rank < 1:
@@ -590,9 +587,7 @@ def from_generators(rank: int, gens: Iterable[Word]) -> Subgroup:
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
     gens = [g if isinstance(g, Word) else Word(g) for g in gens]
-    fg = _build_bouquet(rank, gens, witness=False)
-    base, edges = fg.folded_edges(0)
-    return _make_subgroup(rank, base, edges)
+    return _component(rank, *_build_bouquet(rank, gens, witness=False).root_table(0))
 
 
 def _require_same_rank(h, k) -> int:
@@ -611,7 +606,7 @@ def _component(rank: int, start, step, too_big=None) -> Subgroup:
     mirror of its half-edge at its neighbour, until none is left, and the
     rest is walked once more.
     """
-    _, rows, _ = _walk(start, step, too_big)
+    _, rows = _walk(start, step, too_big)
     leaves = [v for v in range(1, len(rows)) if len(rows[v]) <= 1]
     if leaves:
         while leaves:
@@ -621,7 +616,7 @@ def _component(rank: int, start, step, too_big=None) -> Subgroup:
                 del letters[-a]
                 if len(letters) == 1 and w != 0:
                     leaves.append(w)
-        _, rows, _ = _walk(0, rows.__getitem__)
+        _, rows = _walk(0, rows.__getitem__)
     return Subgroup(_graph(rank, rows))
 
 
@@ -673,8 +668,7 @@ def join(h: Subgroup, k: Subgroup) -> Subgroup:
                 if e is not None:
                     continue  # the edge is there already
             fg.add_edge(u, a, place[y])
-    base, edges = fg.folded_edges(0)
-    return _make_subgroup(rank, base, edges)
+    return _component(rank, *fg.root_table(0))
 
 
 def conjugate_subgroup(h: Subgroup, g: Word) -> Subgroup:
@@ -768,7 +762,7 @@ def _block_systems(graph: CoreGraph):
             f"block systems: an index-{n} subgroup has more overgroups than the vertex cap "
             f"({cap}); {count} found so far"
         ),
-    )[:2]
+    )
 
 
 def overgroups(h: Subgroup) -> list[Subgroup]:
@@ -874,7 +868,7 @@ def graph_from_document(doc) -> CoreGraph:
     cap = vertex_cap()
     if len(adj) > cap:
         raise _cap_error(f"graph document: {len(adj)} vertices exceed the vertex cap ({cap})")
-    _, rows, _ = _walk(basepoint, adj.__getitem__)
+    _, rows = _walk(basepoint, adj.__getitem__)
     if len(rows) < len(adj):
         raise DocumentError("not connected: some vertex is unreachable from the basepoint")
     for v in sorted(adj):

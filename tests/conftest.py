@@ -62,7 +62,7 @@ def _check_fold_table(fg):
 
 @pytest.fixture(autouse=True, scope="session")
 def check_fold_tables():
-    """Check the folder's table whenever a fold is finished or read.
+    """Check the folder's table whenever a fold is finished or handed to the walk.
 
     Every half adj[r][a] = (t, w) has its mirror at the root of t under
     -a, leading back to a vertex whose root is r; in witness mode the two
@@ -71,22 +71,22 @@ def check_fold_tables():
     path compression, so the check changes no state of the fold.
     """
     build = stallings._build_bouquet
-    read = stallings._FoldGraph.folded_edges
+    hand_off = stallings._FoldGraph.root_table
 
     def checked_build(rank, gens, witness):
         fg = build(rank, gens, witness)
         _check_fold_table(fg)
         return fg
 
-    def checked_read(fg, base):
+    def checked_hand_off(fg, base):
         _check_fold_table(fg)
-        return read(fg, base)
+        return hand_off(fg, base)
 
     stallings._build_bouquet = checked_build
-    stallings._FoldGraph.folded_edges = checked_read
+    stallings._FoldGraph.root_table = checked_hand_off
     yield
     stallings._build_bouquet = build
-    stallings._FoldGraph.folded_edges = read
+    stallings._FoldGraph.root_table = hand_off
 
 
 @pytest.fixture(autouse=True, scope="session")

@@ -263,6 +263,10 @@ def test_iso_builders_reject_infinite_index(tmp_path):
     code, _, err = invoke("iso", "restrict", swap, "--to", cyclic)
     assert code == 2
     assert "finite index" in err
+    code, _, err = invoke("iso", "transfer", swap, "--down", cyclic)
+    assert code == 2
+    assert "transfer needs a finite-index subgroup" in err
+    assert "Traceback" not in err
     code, out, _ = invoke("subgroup", "gens", "--rank", "2", "a", "baB")
     thin = write_doc(tmp_path / "thin.json", json.loads(out))
     whole = write_doc(tmp_path / "whole.json", iso_to_document(identity_iso(whole_group(2))))

@@ -10,6 +10,7 @@ from freecomm import (
     InvalidIsoError,
     NoExtension,
     NotInSubgroupError,
+    PartialIso,
     Word,
     apply,
     compose,
@@ -266,6 +267,16 @@ def test_compute_extension_inner():
     inner = embed_aut([parse_word("a"), parse_word("Aba")])
     phi = restrict(inner, kernel_mod_p(2, (1, 0), 3))
     assert compute_extension(phi) == (parse_word("a"), parse_word("Aba"))
+
+
+def test_transfer_and_extension_refuse_infinite_index():
+    thin = from_generators(2, [parse_word("a"), parse_word("baB")])
+    with pytest.raises(InvalidIsoError, match="transfer needs a finite-index subgroup"):
+        transfer_to_subgroup(identity_iso(whole_group(2)), thin)
+    # make_iso refuses such a map, so it is built directly
+    bare = PartialIso(thin, thin, thin.basis.elements)
+    with pytest.raises(InvalidIsoError, match="extension analysis needs finite index on both sides"):
+        compute_extension(bare)
 
 
 def test_compute_extension_obstruction():

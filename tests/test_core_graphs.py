@@ -21,8 +21,9 @@ from freecomm import (
     from_generators,
     kernel_mod_p,
 )
-from freecomm.stallings import _adjacency, _build_bouquet, _graph, _make_subgroup, _walk
+from freecomm.stallings import _adjacency, _component, _graph, _walk
 from support import (
+    _fold_letter_by_letter,
     basis_by_two_tables,
     canonical_by_two_tables,
     express_in_basis_by_two_tables,
@@ -52,7 +53,7 @@ def cover_case(rng, rank):
 
 def fold_case(rng, rank):
     gens = [random_word(rng, rank) for _ in range(rng.randrange(1, 4))]
-    return rename(rng, *_build_bouquet(rank, gens, witness=False).folded_edges(0))
+    return rename(rng, *_fold_letter_by_letter(gens, False).folded_edges(0))
 
 
 def fiber_case(rng, rank):
@@ -73,9 +74,10 @@ def words_over(rng, labels, count):
 
 
 def check(rng, rank, base, edges, labels):
-    _, rows, _ = _walk(base, _adjacency(base, edges).__getitem__)
+    table = _adjacency(base, edges)
+    _, rows = _walk(base, table.__getitem__)
     assert _graph(rank, rows) == canonical_by_two_tables(rank, base, edges)
-    h = _make_subgroup(rank, base, edges)
+    h = _component(rank, base, table.__getitem__)
     assert h.graph == make_subgroup_by_edge_sets(rank, base, edges)
     paths, _, _ = tree_by_two_tables(h.graph)
     assert h.basis.elements == basis_by_two_tables(h.graph)

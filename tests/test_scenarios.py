@@ -256,12 +256,9 @@ def test_prime_test_matches_trial_division():
     for n in range(-3, 5000):
         expected = n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
         assert _is_prime(n) == expected
-    # strong pseudoprimes to the first 4, 11 and 12 prime bases
-    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+    # strong pseudoprimes to the first 4 and 11 prime bases
+    for n in (3215031751, 3825123056546413051):
         assert not _is_prime(n)
-    assert _is_prime(10 ** 18 + 3) and _is_prime(2 ** 61 - 1)
-    with pytest.raises(ValueError, match="too large"):
-        _is_prime(2 ** 89 - 1)
 
 
 def test_scans_are_held_to_the_work_limit():
