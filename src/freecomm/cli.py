@@ -241,16 +241,7 @@ def _cmd_export(args) -> int:
 # parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="freecomm",
-        description="Exact computation with subgroups of free groups and "
-        "partial isomorphisms between them.",
-    )
-    top = parser.add_subparsers(dest="command", required=True)
-
-    sub = top.add_parser("subgroup", help="core graph operations")
-    sub_ops = sub.add_subparsers(dest="op", required=True)
+def _subgroup_ops(sub_ops) -> None:
     p = sub_ops.add_parser("gens", help="fold generators into a subgroup")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("words", nargs="*", help="generator words (letter syntax)")
@@ -271,8 +262,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("left")
         p.add_argument("right")
 
-    iso = top.add_parser("iso", help="partial isomorphism operations")
-    iso_ops = iso.add_subparsers(dest="op", required=True)
+
+def _iso_ops(iso_ops) -> None:
     p = iso_ops.add_parser("make", help="build and validate an iso")
     p.add_argument("--domain", required=True)
     p.add_argument("--codomain", required=True)
@@ -300,8 +291,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--down", help="graph document: view the iso over this subgroup")
     p.add_argument("--up", help="graph document: lift the iso along this subgroup")
 
-    paper = top.add_parser("paper", help="scenario reports")
-    paper_ops = paper.add_subparsers(dest="op", required=True)
+
+def _paper_ops(paper_ops) -> None:
     p = paper_ops.add_parser("kernel-swap")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--prime", type=int, required=True)
@@ -318,32 +309,49 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
 
-    exp = top.add_parser("export", help="render a graph document")
-    exp_ops = exp.add_subparsers(dest="op", required=True)
+
+def _export_ops(exp_ops) -> None:
     p = exp_ops.add_parser("dot")
     p.add_argument("graph", nargs="?", default="-")
     p.add_argument("--format", choices=("dot", "text"), default="dot")
 
-    return parser
 
-
-_HANDLERS = {
-    "subgroup": _cmd_subgroup,
-    "iso": _cmd_iso,
-    "paper": _cmd_paper,
-    "export": _cmd_export,
+# group -> (help text, the function adding its operations, handler)
+_GROUPS = {
+    "subgroup": ("core graph operations", _subgroup_ops, _cmd_subgroup),
+    "iso": ("partial isomorphism operations", _iso_ops, _cmd_iso),
+    "paper": ("scenario reports", _paper_ops, _cmd_paper),
+    "export": ("render a graph document", _export_ops, _cmd_export),
 }
+
+
+def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """Every group, but only the operations of the group argv names: the
+    first argument without a leading dash, as the program's only option is -h."""
+    parser = argparse.ArgumentParser(
+        prog="freecomm",
+        description="Exact computation with subgroups of free groups and "
+        "partial isomorphisms between them.",
+    )
+    top = parser.add_subparsers(dest="command", required=True)
+    named = next((arg for arg in argv if not arg.startswith("-")), None)
+    for name, (help_text, add_ops, _) in _GROUPS.items():
+        group = top.add_parser(name, help=help_text)
+        if name == named:
+            add_ops(group.add_subparsers(dest="op", required=True))
+    return parser
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse and execute one invocation; returns the exit status."""
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _HANDLERS[args.command](args)
+        return _GROUPS[args.command][2](args)
     except (_CliError, FreecommError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,6 @@ isomorphism.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce as _functools_reduce
 from typing import Optional, Sequence, Union
 
@@ -28,6 +27,7 @@ from .errors import (
     NotInSubgroupError,
     RankMismatchError,
 )
+from .record import Record
 from .stallings import (
     Subgroup,
     _component,
@@ -83,8 +83,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PartialIso:
+class PartialIso(Record):
     """An isomorphism between two finite-index subgroups.
 
     images[i] is the image of the i-th canonical basis element of the
@@ -94,23 +93,20 @@ class PartialIso:
     images are correct by construction.
     """
 
-    domain: Subgroup
-    codomain: Subgroup
-    images: tuple[Word, ...]
+    def __init__(self, domain: Subgroup, codomain: Subgroup, images: tuple[Word, ...]):
+        self.__dict__.update(domain=domain, codomain=codomain, images=images)
 
     @property
     def rank(self) -> int:
         return self.domain.rank
 
 
-@dataclass(frozen=True)
-class NoExtension:
+class NoExtension(Record):
     """Certificate that a partial isomorphism extends to no ambient automorphism."""
 
-    reason: str
-    generator: Optional[int] = None
-    exponent: Optional[int] = None
-    word: Optional[Word] = None
+    def __init__(self, reason: str, generator: Optional[int] = None,
+                 exponent: Optional[int] = None, word: Optional[Word] = None):
+        self.__dict__.update(reason=reason, generator=generator, exponent=exponent, word=word)
 
 
 def make_iso(domain: Subgroup, codomain: Subgroup, images: Sequence[Word]) -> PartialIso:
@@ -196,17 +192,26 @@ def _pull_back(alpha: PartialIso, k: Subgroup) -> Subgroup:
     is the stabilizer of K, so its graph is the component of (basepoint,
     K) in the product of the domain's graph with that action: the walk of
     intersect, with the second coordinate twisted.  Both are covers, so
-    each state has all 2·rank letters, listed in scan order.
+    each state has all 2·rank letters, listed in scan order, and when a
+    leads from (v, c) to (w, d), -a leads back: that is recorded, not traced.
     """
     g, images = alpha.domain.graph, alpha.images
     adj, trace = g.adj, k.graph.trace
     spell = {}  # off-tree half-edge -> the word its crossing moves a coset along
     for (v, a), i in alpha.domain._tree[1].items():
         spell[v, a] = images[i - 1] if i > 0 else invert(images[-i - 1])
+    back = {}  # (w, -a, d) -> c, for each crossing from (v, c) under a to (w, d)
 
     def step(pair):
         v, c = pair
-        return {a: (w, trace(c, spell[v, a]) if (v, a) in spell else c) for a, w in adj[v].items()}
+        row = {}
+        for a, w in adj[v].items():
+            d = back.pop((v, a, c), None)
+            if d is None:
+                d = trace(c, spell[v, a]) if (v, a) in spell else c
+                back[w, -a, d] = c
+            row[a] = (w, d)
+        return row
 
     return _component(
         alpha.rank,

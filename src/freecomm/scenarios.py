@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Optional
 
 from .commensurator import (
@@ -29,6 +28,7 @@ from .commensurator import (
     make_iso,
 )
 from .errors import WorkLimitError
+from .record import Record
 from .stallings import (
     _require_modulus_under_cap,
     _walk,
@@ -92,25 +92,22 @@ def _require_prime(op: str, p: int) -> None:
 # reports
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Record):
     """One verified assertion: a name, what was expected, what happened."""
 
-    name: str
-    expected: object
-    actual: object
+    def __init__(self, name: str, expected: object, actual: object):
+        self.__dict__.update(name=name, expected=expected, actual=actual)
 
     @property
     def passed(self) -> bool:
         return self.expected == self.actual
 
 
-@dataclass(frozen=True)
-class ScenarioReport:
-    scenario: str
-    parameters: dict
-    objects: dict
-    checks: tuple[Check, ...]
+class ScenarioReport(Record):
+    def __init__(self, scenario: str, parameters: dict, objects: dict, checks: tuple[Check, ...]):
+        self.__dict__.update(
+            scenario=scenario, parameters=parameters, objects=objects, checks=checks
+        )
 
     @property
     def ok(self) -> bool:
@@ -119,12 +116,7 @@ class ScenarioReport:
 
 def _plain(value):
     if isinstance(value, BSElement):
-        return {
-            "num": value.num,
-            "denom_exp": value.denom_exp,
-            "texp": value.texp,
-            "k": value.k,
-        }
+        return {name: getattr(value, name) for name in value._fields}
     if isinstance(value, Word):
         return word_to_text(value)
     if isinstance(value, (list, tuple)):
@@ -302,24 +294,17 @@ def free_product_twist(rank: int, p: int, b: Optional[Word] = None) -> ScenarioR
 # Baumslag-Solitar arithmetic
 
 
-@dataclass(frozen=True)
-class BSElement:
+class BSElement(Record):
     """Element (num / k^denom_exp, t^texp) of Z[1/k] ⋊ ⟨t⟩, normalized."""
 
-    num: int
-    denom_exp: int
-    texp: int
-    k: int
-
-    def __post_init__(self):
-        if abs(self.k) < 2:
-            raise ValueError(f"|k| must be at least 2, got {self.k}")
-        if self.denom_exp < 0:
+    def __init__(self, num: int, denom_exp: int, texp: int, k: int):
+        if abs(k) < 2:
+            raise ValueError(f"|k| must be at least 2, got {k}")
+        if denom_exp < 0:
             raise ValueError("denominator exponent must be non-negative")
-        if self.denom_exp > 0 and self.num % self.k == 0:
+        if denom_exp > 0 and num % k == 0:  # zero with a denominator included
             raise ValueError("not normalized: numerator divisible by k")
-        if self.num == 0 and self.denom_exp != 0:
-            raise ValueError("not normalized: zero keeps denominator exponent 0")
+        self.__dict__.update(num=num, denom_exp=denom_exp, texp=texp, k=k)
 
 
 def bs_element(num: int, denom_exp: int, texp: int, k: int) -> BSElement:

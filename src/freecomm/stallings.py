@@ -41,7 +41,6 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -52,6 +51,7 @@ from .errors import (
     NotInSubgroupError,
     RankMismatchError,
 )
+from .record import Record
 from .words import EPSILON, Word, _quoted, _require_rank, concat, conjugate, invert
 
 __all__ = [
@@ -114,16 +114,15 @@ def _require_modulus_under_cap(op: str, p: int) -> None:
 # graphs
 
 
-@dataclass(frozen=True)
-class CoreGraph:
+class CoreGraph(Record):
     """A folded, based, edge-labeled graph with non-negative integer vertices.
 
     Instances produced by this module are canonical: the basepoint is 0,
     vertices are numbered in canonical BFS order and edges are sorted.
     """
 
-    rank: int
-    edges: tuple[Edge, ...]
+    def __init__(self, rank: int, edges: tuple[Edge, ...]):
+        self.__dict__.update(rank=rank, edges=edges)
 
     @property
     def num_vertices(self) -> int:
@@ -474,18 +473,18 @@ def witness_expresser(rank: int, gens: Sequence[Word]):
 # subgroups
 
 
-@dataclass(frozen=True)
-class Basis:
+class Basis(Record):
     """A free basis read off a core graph's canonical spanning tree."""
 
-    elements: tuple[Word, ...]
+    def __init__(self, elements: tuple[Word, ...]):
+        self.__dict__.update(elements=elements)
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(Record):
     """A finitely generated subgroup of F_rank, held as a canonical core graph."""
 
-    graph: CoreGraph
+    def __init__(self, graph: CoreGraph):
+        self.__dict__.update(graph=graph)
 
     @property
     def rank(self) -> int:

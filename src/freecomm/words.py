@@ -96,7 +96,7 @@ def generator(i: int) -> Word:
 
 def max_generator(w: Sequence[int]) -> int:
     """Largest generator index used in w (0 for the identity)."""
-    return max((abs(a) for a in w), default=0)
+    return max(map(abs, w), default=0)
 
 
 def _require_rank(w: Sequence[int], rank: int, noun: str) -> None:
@@ -183,8 +183,9 @@ def apply_hom(images: Sequence[Word], w: Word) -> Word:
     """Substitute images[i-1] for each letter ±i of w.
 
     This is the homomorphism from the free group whose rank is
-    ``len(images)`` determined by the image list.
+    ``len(images)`` determined by the image list; w is checked as a Word.
     """
+    w = w if isinstance(w, Word) else Word(w)
     out: list[int] = []
     for a in w:
         i = abs(a)
@@ -198,7 +199,8 @@ def apply_hom(images: Sequence[Word], w: Word) -> Word:
 
 
 def abelianize(w: Word, rank: int) -> tuple[int, ...]:
-    """Exponent-sum vector of w in Z^rank."""
+    """Exponent-sum vector of w in Z^rank; w is checked as a Word."""
+    w = w if isinstance(w, Word) else Word(w)
     if rank < 0:
         raise WordError(f"rank must be >= 0, got {rank}")
     _require_rank(w, rank, "word")

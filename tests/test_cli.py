@@ -11,6 +11,8 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
+
 import freecomm
 from freecomm import (
     graph_from_document,
@@ -498,6 +500,27 @@ def test_usage_errors():
     assert code == 2
     code, _, _ = invoke("subgroup", "kernel", "--rank", "2", "--weights", "x,y", "--p", "2")
     assert code == 2
+
+
+# argv joined by spaces -> [exit status, stdout, stderr], as argparse words
+# them at 80 columns under Python 3.11: help for the program, each group and
+# each operation, and the usage errors of missing and unknown arguments
+PINNED_USAGE = json.loads(Path(__file__).with_name("cli_usage.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("line", list(PINNED_USAGE))
+def test_help_and_usage_texts_are_pinned(line, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert list(invoke(*line.split())) == PINNED_USAGE[line]
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    src = os.path.dirname(os.path.dirname(freecomm.__file__))
+    probe = "import freecomm.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=30
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_stdin_documents(tmp_path, monkeypatch):

@@ -158,6 +158,18 @@ def test_apply_hom_validates_rank():
         apply_hom([parse_word("a")], parse_word("ab"))
 
 
+def test_plain_sequences_are_checked_as_words():
+    # a tuple or list of letters passes through Word, which refuses 0 and non-integers
+    with pytest.raises(WordError):
+        apply_hom([Word((1,)), Word((2,))], (0,))
+    with pytest.raises(WordError):
+        apply_hom([Word((1,))], (1.0,))
+    with pytest.raises(WordError):
+        abelianize((0,), 2)
+    assert apply_hom([Word((1,)), Word((2,))], [1, 2, -2]) == Word((1,))
+    assert abelianize([1, 2, -2, 1], 2) == (2, 0)
+
+
 @given(words2, words2)
 def test_apply_hom_distributes_over_concat(u, v):
     images = [parse_word("ab"), parse_word("B")]
