@@ -67,6 +67,8 @@ class _CliError(Exception):
 
 
 def _read_json(path: str):
+    if path == "-" and sys.stdin is None:
+        raise _CliError("-: standard input is closed")
     try:
         if path == "-":
             return json.load(sys.stdin)
@@ -358,6 +360,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
+    closed = sys.stdout is None  # started with standard output closed
+    if closed:
+        sys.stdout = open(os.devnull, "w")
     try:
         code = run(sys.argv[1:])
         sys.stdout.flush()
@@ -367,7 +372,7 @@ def main() -> None:
         # signal documentation).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
-    sys.exit(code)
+    sys.exit(max(code, 1) if closed else code)
 
 
 if __name__ == "__main__":

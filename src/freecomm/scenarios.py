@@ -30,6 +30,7 @@ from .commensurator import (
 from .errors import WorkLimitError
 from .record import Record
 from .stallings import (
+    _is_prime,
     _require_modulus_under_cap,
     _walk,
     from_generators,
@@ -61,12 +62,6 @@ __all__ = [
     "kernel_swap",
     "report_to_document",
 ]
-
-
-def _is_prime(n: int) -> bool:
-    """Trial division: _require_prime holds n to the vertex cap first, so
-    this makes at most √cap divisions, fewer than the p-vertex walk after."""
-    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 # The most work one scenario scan may ask for: power-sum terms of

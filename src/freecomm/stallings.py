@@ -6,8 +6,11 @@ graph: a based, edge-labeled digraph in which words trace paths (letter
 is "traces a closed loop at the basepoint".  Every walk reads one table:
 adj[v][a] is where the signed letter a leads from v, listed at each
 vertex in scan order +1, -1, +2, -2, ...  The folder keeps the same
-table on its union-find roots, so folding walks it the same way, and a
-finished fold hands that table straight to the walk.  The graph is kept
+table on its union-find roots, and every half in it names a live root: a
+merge takes the dead root's halves and their mirrors out and puts each
+back at the live root, and merges are the only work it queues.  So
+folding walks the table the same way, and a finished fold hands it
+straight to the walk.  The graph is kept
 in canonical form (breadth-first numbering from the basepoint, in scan
 order), so two subgroups are equal exactly when their graphs compare
 equal.  One walk numbers every graph built here (a fold, a product of
@@ -31,7 +34,7 @@ how it was reached as a product of the input generators (the two halves
 of an edge carry inverse witnesses), which yields, for any word of the
 subgroup, an explicit expression over the original generating set.  This
 uses a weighted union-find, so corrections from vertex identifications
-compose automatically.
+compose automatically; a plain fold's weights are empty words.
 
 All public objects are immutable; operations return new values.
 """
@@ -108,6 +111,12 @@ def _require_modulus_under_cap(op: str, p: int) -> None:
     cap = vertex_cap()
     if p > cap:
         raise _cap_error(f"{op}: modulus {p} exceeds the vertex cap ({cap})")
+
+
+def _is_prime(n: int) -> bool:
+    """Trial division: every caller holds n to the vertex cap first, so
+    this makes at most √cap divisions, fewer than the n-vertex work after."""
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +223,15 @@ def _graph(rank: int, rows: list) -> CoreGraph:
 
 # The folder identifies vertices until no vertex has two edges under one
 # signed letter.  It keeps the core-graph table on its union-find roots:
-# adj[r][a] = (target id, witness), and the half under -a at the target's
-# root carries the inverse witness.  With witness tracking on, every vertex
-# carries a "potential" word over the generator alphabet relating it to its
-# union-find parent, so identifications need no global rewriting.
+# adj[r][a] = (target, witness), and the half under -a at the target carries
+# the inverse witness.  Every half names a live root: a merge takes all the
+# halves of the dead root, and their mirrors, out of the table and puts each
+# back at the live root, so a target is read as it stands.  Only ids held
+# outside the table (a basepoint, a queued merge, join's placed vertices)
+# go through find_pot.  Merges are the only queued work.  With witness
+# tracking on, every vertex carries a "potential" word over the generator
+# alphabet relating it to its union-find parent, so identifications need no
+# global rewriting; a plain fold's potentials stay empty.
 
 
 class _FoldGraph:
@@ -227,9 +241,9 @@ class _FoldGraph:
         self.cap = vertex_cap()
         self.live = 0  # union-find roots, the vertices of the folded graph
         self.parent: list[int] = []
-        self.pot: list[Optional[Word]] = []
-        self.adj: list[dict] = []  # per root: signed letter -> (target id, witness)
-        self.pending: deque = deque()
+        self.pot: list[Word] = []
+        self.adj: list[dict] = []  # per root: signed letter -> (target root, witness)
+        self.pending: deque = deque()  # merges (x, y, witness from x's frame to y's)
 
     # -- union-find with potentials
 
@@ -243,17 +257,9 @@ class _FoldGraph:
         first = len(self.parent)
         self.live += count
         self.parent.extend(range(first, first + count))
-        self.pot.extend([EPSILON if self.witness else None] * count)
+        self.pot.extend([EPSILON] * count)
         self.adj.extend({} for _ in range(count))
         return first
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
 
     def find_pot(self, x: int) -> tuple[int, Word]:
         """Root of x and the witness relating x's frame to the root's."""
@@ -269,64 +275,58 @@ class _FoldGraph:
                 self.parent[y] = root
         return root, (self.pot[chain[0]] if chain else EPSILON)
 
-    def _pot_of(self, x: int) -> tuple[int, Word]:
-        if self.witness:
-            return self.find_pot(x)
-        return self.find(x), EPSILON
-
     # -- edge insertion and folding
 
-    def add_edge(self, u: int, letter: int, v: int, aux: Optional[Word] = None) -> None:
-        self.pending.append(("e", u, letter, v, aux))
-        self._drain()
+    def add_edge(self, u: int, a: int, v: int, aux: Optional[Word] = None) -> None:
+        """Add the edge u -a-> v between roots, witness aux, and fold."""
+        self._insert(u, a, v, aux)
+        self._fold()
 
-    def _drain(self) -> None:
+    def _fold(self) -> None:
+        """Run the queued merges, first in first out, until none is left."""
         while self.pending:
-            item = self.pending.popleft()
-            if item[0] == "e":
-                self._insert(*item[1:])
-            else:
-                self._merge(*item[1:])
+            self._merge(*self.pending.popleft())
 
     def _insert(self, u: int, a: int, v: int, aux: Optional[Word]) -> None:
-        ur, pu = self._pot_of(u)
-        vr, pv = self._pot_of(v)
-        eff = concat(concat(invert(pu), aux), pv) if self.witness else None
-        back = invert(eff) if self.witness else None
-        for x, b, y, e in ((ur, a, vr, eff), (vr, -a, ur, back)):
+        """Write the halves (u, a) and (v, -a) of an edge between roots; a
+        slot that is taken queues a merge of its target with ours instead."""
+        back = invert(aux) if self.witness else None
+        for x, b, y, e in ((u, a, v, aux), (v, -a, u, back)):
             cur = self.adj[x].get(b)
             if cur is not None:
-                t_id, w = cur
-                tr, pt = self._pot_of(t_id)
-                if tr != y:  # else a parallel duplicate; the stored witness stays
-                    gamma = concat(invert(e), concat(w, pt)) if self.witness else None
-                    self.pending.append(("m", y, tr, gamma))
+                t, w = cur
+                if t != y:  # else a parallel duplicate; the stored witness stays
+                    self.pending.append((y, t, concat(invert(e), w) if self.witness else None))
                 return
-        self.adj[ur][a] = (vr, eff)
-        self.adj[vr][-a] = (ur, back)
+        self.adj[u][a] = (v, aux)
+        self.adj[v][-a] = (u, back)
 
     def _merge(self, x: int, y: int, gamma: Optional[Word]) -> None:
-        xr, px = self._pot_of(x)
-        yr, py = self._pot_of(y)
+        xr, px = self.find_pot(x)
+        yr, py = self.find_pot(y)
         if xr == yr:
             return
-        g = concat(concat(invert(px), gamma), py) if self.witness else None
+        witness, adj = self.witness, self.adj
+        g = concat(concat(invert(px), gamma), py) if witness else None
         # keep the vertex with more edges live
-        if len(self.adj[xr]) > len(self.adj[yr]):
+        if len(adj[xr]) > len(adj[yr]):
             xr, yr = yr, xr
-            g = invert(g) if self.witness else None
-        # detach the dead root's halves and their mirrors while find() still
-        # reports xr as a root; a loop's mirror is in dead, so it goes once
-        dead = self.adj[xr]
-        ginv = invert(g) if self.witness else None
+            g = invert(g) if witness else None
+        # no half may name xr once it is dead; a loop's mirror is in dead, so it goes once
+        dead, halves = adj[xr], []
         while dead:
-            b, (t_id, w) = dead.popitem()
-            del self.adj[self.find(t_id)][-b]
-            self.pending.append(("e", yr, b, t_id, concat(ginv, w) if self.witness else None))
+            b, (t, w) = dead.popitem()
+            del adj[t][-b]
+            halves.append((b, t, w))
         self.parent[xr] = yr
         self.live -= 1
-        if self.witness:
+        if witness:
             self.pot[xr] = g
+            ginv = invert(g)
+        for b, t, w in halves:
+            if witness:
+                w = concat(ginv, concat(w, g) if t == xr else w)
+            self._insert(yr, b, yr if t == xr else t, w)
 
     # -- building blocks
 
@@ -345,42 +345,20 @@ class _FoldGraph:
         n = len(w)
         if not n:
             return
-        parent, adj = self.parent, self.adj
-        if self.witness:
-            acc_f: list[int] = []  # base frame -> root frame of u
-            acc_b: list[int] = []  # base frame -> root frame of v, along w backward
-            u, i = self._follow(base, w, acc_f)
-            v, read = self._follow(base, (-a for a in reversed(w[i:])), acc_b)
-            j = n - read
-            # the middle runs from u's root frame to v's, so the petal reads seed
-            mid = Word([-a for a in reversed(acc_f)] + list(seed) + acc_b)
-        else:
-            u = self.find(base)
-            i = 0
-            for a in w:
-                e = adj[u].get(a)
-                if e is None:
-                    break
-                t = e[0]
-                u = t if parent[t] == t else self.find(t)
-                i += 1
-            v = self.find(base)
-            j = n
-            while j > i:
-                e = adj[v].get(-w[j - 1])
-                if e is None:
-                    break
-                t = e[0]
-                v = t if parent[t] == t else self.find(t)
-                j -= 1
-            mid = None
+        acc_f: list[int] = []  # base frame -> frame of u
+        acc_b: list[int] = []  # base frame -> frame of v, along w backward
+        u, i = self._follow(base, w, acc_f)
+        v, read = self._follow(base, (-a for a in reversed(w[i:])), acc_b)
+        j = n - read
+        # the middle runs from u's frame to v's, so the petal reads seed
+        mid = Word([-a for a in reversed(acc_f)] + list(seed) + acc_b) if self.witness else None
         if i == j:
             if u != v:
-                self.pending.append(("m", u, v, mid))
-                self._drain()
+                self.pending.append((u, v, mid))
+                self._fold()
             return
         first = self._grow(j - i - 1)
-        pos = u
+        pos, adj = u, self.adj
         for k in range(i, j - 1):
             a = w[k]
             nxt = first + k - i
@@ -394,37 +372,36 @@ class _FoldGraph:
 
     def root_table(self, base: int):
         """(root of base, step): the folded graph as _component reads it;
-        step(r) lists root r's halves in scan order, each target's root."""
-        adj, find = self.adj, self.find
+        step(r) lists root r's halves in scan order."""
+        adj = self.adj
 
         def step(r):
             halves = adj[r]
             order = sorted(halves, key=lambda a: (abs(a), -a))  # +1, -1, +2, -2, ...
-            return {a: find(halves[a][0]) for a in order}
+            return {a: halves[a][0] for a in order}
 
-        return find(base), step
-
-    # -- witness tracing
+        return self.find_pot(base)[0], step
 
     def _follow(self, pos: int, letters: Iterable[int], acc: list) -> tuple[int, int]:
-        """Follow letters from pos until an edge is missing (witness mode).
+        """Follow letters from pos until an edge is missing.
 
-        Returns the root reached and the number of letters read; acc gets
-        the witness from pos's frame to that root's frame, unreduced.
+        Returns the root reached and the number of letters read; in witness
+        mode acc gets the witness from pos's frame to that root's frame,
+        unreduced.
         """
+        pos, pp = self.find_pot(pos)
+        adj, witness = self.adj, self.witness
+        acc.extend(pp)
         read = 0
         for a in letters:
-            r, pp = self.find_pot(pos)
-            entry = self.adj[r].get(a)
+            entry = adj[pos].get(a)
             if entry is None:
                 break
             pos, ea = entry
-            acc.extend(pp)
-            acc.extend(ea)
+            if witness:
+                acc.extend(ea)
             read += 1
-        r, pp = self.find_pot(pos)
-        acc.extend(pp)
-        return r, read
+        return pos, read
 
     def express(self, base: int, w: Word) -> Optional[Word]:
         """A word over the generator alphabet mapping onto w, or None.
@@ -660,13 +637,13 @@ def join(h: Subgroup, k: Subgroup) -> Subgroup:
     place = [0] + [None] * (gk.num_vertices - 1)  # vertex of K -> vertex of the fold
     for x, letters in enumerate(gk.adj):  # canonical, so x was placed already
         for a, y in letters.items():
-            u = fg.find(place[x])
+            u = fg.find_pot(place[x])[0]
             if place[y] is None:
                 e = fg.adj[u].get(a)
                 place[y] = fg._grow(1) if e is None else e[0]
                 if e is not None:
                     continue  # the edge is there already
-            fg.add_edge(u, a, place[y])
+            fg.add_edge(u, a, fg.find_pot(place[y])[0])
     return _component(rank, *fg.root_table(0))
 
 
@@ -728,6 +705,9 @@ def _block_systems(graph: CoreGraph):
     forward images suffice as each label is a bijection of a finite set.
     Joining each system with one coset of each other class reaches every
     system, since a block is the union of the minimal blocks of its members.
+    A system with a prime number c of classes needs one join only: the
+    action on its classes is transitive of prime degree, so primitive, and
+    no system lies strictly between it and the whole one.
     Returns (systems, rows): rows[i] maps each class representative v of
     system i to the number of the system it joins into.  More systems than
     the vertex cap raise IndexCapError.
@@ -754,9 +734,15 @@ def _block_systems(graph: CoreGraph):
                 pairs.extend((s[x], s[y]) for s in perms)
         return tuple(map(find, range(n)))
 
+    def joins(labels):
+        others = set(labels) - {0}
+        if _is_prime(len(others) + 1):
+            others = {min(others)}
+        return {v: coarsen(labels, v) for v in others}
+
     return _walk(
         tuple(range(n)),
-        lambda labels: {v: coarsen(labels, v) for v in set(labels) - {0}},
+        joins,
         lambda count, cap: (
             f"block systems: an index-{n} subgroup has more overgroups than the vertex cap "
             f"({cap}); {count} found so far"

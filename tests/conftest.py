@@ -49,6 +49,7 @@ def _check_fold_table(fg):
     for r, halves in enumerate(fg.adj):
         assert not halves or fg.parent[r] == r, f"vertex {r} is no root but keeps halves"
         for a, (t, w) in halves.items():
+            assert fg.parent[t] == t, f"half ({r}, {a}) names {t}, which is no root"
             tr, pt = _root_and_potential(fg, t)
             mirror = fg.adj[tr].get(-a)
             assert mirror is not None, f"half ({r}, {a}) has no mirror at {tr}"
@@ -64,10 +65,10 @@ def _check_fold_table(fg):
 def check_fold_tables():
     """Check the folder's table whenever a fold is finished or handed to the walk.
 
-    Every half adj[r][a] = (t, w) has its mirror at the root of t under
-    -a, leading back to a vertex whose root is r; in witness mode the two
-    witnesses, joined by the potentials of their targets, reduce to the
-    empty word; and live counts the roots.  Potentials are read without
+    Every half adj[r][a] = (t, w) names a root t and has its mirror at t
+    under -a, leading back to a vertex whose root is r; in witness mode
+    the two witnesses, joined by the potentials of their targets, reduce
+    to the empty word; and live counts the roots.  Potentials are read without
     path compression, so the check changes no state of the fold.
     """
     build = stallings._build_bouquet

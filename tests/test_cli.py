@@ -456,6 +456,29 @@ def test_closed_stdout_exits_quietly():
     assert err == b""
 
 
+def run_in_shell(command, tmp_path):
+    """Run `freecomm <command>` under sh, so the command may close a stream."""
+    src = os.path.dirname(os.path.dirname(freecomm.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    line = f"{shlex.quote(sys.executable)} -m freecomm.cli {command}"
+    return subprocess.run(
+        ["sh", "-c", line], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=30
+    )
+
+
+def test_closed_stdin_is_a_document_error(tmp_path):
+    proc = run_in_shell("subgroup index - <&-", tmp_path)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: -: standard input is closed\n"
+
+
+@pytest.mark.parametrize("command", ["subgroup basis k.json", "export dot k.json"])
+def test_closed_stdout_from_the_start_exits_1_quietly(command, tmp_path):
+    kernel_file(tmp_path, "k.json", 2, (1, 0), 3)
+    proc = run_in_shell(f"{command} >&-", tmp_path)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
 def test_graph_documents_are_held_to_the_cap(tmp_path):
     n = 20_001
     cycle = {"rank": 1, "basepoint": 0, "edges": [[v, (v + 1) % n, 1] for v in range(n)]}

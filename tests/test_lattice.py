@@ -4,6 +4,7 @@ containment, the quotient covers against their edge sets, and join against
 the wedge folded by the two-table reference folder."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -78,6 +79,15 @@ def test_abelian_kernels_match_queue_reference(moduli):
 def test_cyclic_kernels_match_queue_reference():
     for p in range(2, 61):
         assert_matches_queue_reference(kernel_mod_p(2, (1, 0), p))
+
+
+def test_prime_index_joins_once():
+    # a cover of prime index is primitive: its lattice is H and the whole group
+    h = kernel_mod_p(2, (1, 0), 2003)
+    start = time.perf_counter()
+    assert subindex(h) == 2003
+    assert overgroups(h) == [whole_group(2), h]
+    assert time.perf_counter() - start < 1
 
 
 def test_block_systems_are_held_to_the_cap(monkeypatch):
