@@ -30,6 +30,7 @@ from .errors import (
 from .record import Record
 from .stallings import (
     Subgroup,
+    _cap_error,
     _component,
     _is_int,
     _require_same_rank,
@@ -42,6 +43,7 @@ from .stallings import (
     kernel_mod_p,
     rewrite_over_basis,
     subindex,
+    vertex_cap,
     whole_group,
     witness_expresser,
 )
@@ -194,8 +196,23 @@ def _pull_back(alpha: PartialIso, k: Subgroup) -> Subgroup:
     intersect, with the second coordinate twisted.  Both are covers, so
     each state has all 2·rank letters, listed in scan order, and when a
     leads from (v, c) to (w, d), -a leads back: that is recorded, not traced.
+    When K is the whole codomain, alpha is onto it, so the preimage is the
+    domain itself, which is returned as it is, held to the cap as the walk
+    would hold it.
     """
     g, images = alpha.domain.graph, alpha.images
+
+    def too_big(count, cap):
+        return (
+            f"pull-back: the preimage of an index-{k.index()} subgroup in an "
+            f"index-{g.num_vertices} domain would exceed the vertex cap ({cap})"
+        )
+
+    if k == alpha.codomain:
+        cap = vertex_cap()
+        if g.num_vertices > cap:
+            raise _cap_error(too_big(g.num_vertices, cap))
+        return alpha.domain
     adj, trace = g.adj, k.graph.trace
     spell = {}  # off-tree half-edge -> the word its crossing moves a coset along
     for (v, a), i in alpha.domain._tree[1].items():
@@ -213,15 +230,7 @@ def _pull_back(alpha: PartialIso, k: Subgroup) -> Subgroup:
             row[a] = (w, d)
         return row
 
-    return _component(
-        alpha.rank,
-        (0, 0),
-        step,
-        lambda count, cap: (
-            f"pull-back: the preimage of an index-{k.index()} subgroup in an "
-            f"index-{g.num_vertices} domain would exceed the vertex cap ({cap})"
-        ),
-    )
+    return _component(alpha.rank, (0, 0), step, too_big)
 
 
 def invert_iso(phi: PartialIso) -> PartialIso:
@@ -238,12 +247,26 @@ def invert_iso(phi: PartialIso) -> PartialIso:
 def compose(alpha: PartialIso, beta: PartialIso) -> PartialIso:
     """The product map: first alpha, then beta.
 
-    Defined on the preimage under alpha of codomain(alpha) ∩ domain(beta),
-    mapping onto the image of that intersection under beta.
+    Defined on the preimage under alpha of K = codomain(alpha) ∩
+    domain(beta), mapping onto beta(K).  Two cases skip work:
+
+    - K is codomain(alpha): the preimage is domain(alpha), with no
+      pull-back, and alpha's images of its basis are alpha.images as
+      they stand, so they are not expressed and mapped again;
+    - K is domain(beta): beta(K) is codomain(beta), so the images are
+      not folded.  They generate it, and a map onto a free group of the
+      same finite rank is an isomorphism (free groups are Hopfian), so
+      the rank check of _iso is all that is left.
     """
     _require_same_rank(alpha, beta)
-    dom = _pull_back(alpha, intersect(alpha.codomain, beta.domain))
-    return _iso(dom, [apply(beta, apply(alpha, b)) for b in dom.basis.elements])
+    k = intersect(alpha.codomain, beta.domain)
+    dom = _pull_back(alpha, k)
+    if dom is alpha.domain:
+        middle = alpha.images
+    else:
+        middle = [apply(alpha, b) for b in dom.basis.elements]
+    codomain = beta.codomain if k == beta.domain else None
+    return _iso(dom, [apply(beta, w) for w in middle], codomain)
 
 
 def compose_many(isos: Sequence[PartialIso]) -> PartialIso:

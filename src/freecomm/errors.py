@@ -26,7 +26,7 @@ class IndexCapError(FreecommError, RuntimeError):
 
 
 class WorkLimitError(FreecommError, ValueError):
-    """A scenario asked for more work than its fixed limit."""
+    """An operation asked for more work than its fixed limit."""
 
 
 class InvalidIsoError(FreecommError, ValueError):

@@ -15,14 +15,21 @@ import pytest
 
 import freecomm
 from freecomm import (
+    WorkLimitError,
+    apply_hom,
+    compose,
+    embed_aut,
     graph_from_document,
     graph_to_document,
     graph_to_dot,
     identity_iso,
+    iso_from_document,
     iso_to_document,
     kernel_mod_p,
     parse_word,
     whole_group,
+    word_to_text,
+    words,
 )
 from freecomm.cli import run
 from support import abelian_kernel
@@ -186,6 +193,55 @@ def test_iso_compose_invert_equiv(tmp_path):
     inverted = write_doc(tmp_path / "inv.json", json.loads(out))
     code, out, _ = invoke("iso", "equiv", inverted, swap)
     assert (code, out.strip()) == (0, "true")
+
+
+def sigma_power_images(n):
+    """The images of a and b under σ^n, where σ is the automorphism a → ab, b → a."""
+    images = [parse_word("a"), parse_word("b")]
+    for _ in range(n):
+        images = [apply_hom(images, parse_word("ab")), apply_hom(images, parse_word("a"))]
+    return images
+
+
+def sigma_power_file(tmp_path, n):
+    doc = iso_to_document(embed_aut(sigma_power_images(n)))
+    return write_doc(tmp_path / f"sigma{n}.json", doc)
+
+
+def test_iso_compose_of_automorphisms_folds_no_images(tmp_path):
+    # σ^12 after σ^12 is σ^24, whose images total 196,418 letters: folding
+    # them would take 121,393 vertices, past the default cap, but the
+    # codomain is known to be the rose.  A subprocess keeps the suite's
+    # make_iso re-check, which folds them, out of the way.
+    sigma = sigma_power_file(tmp_path, 12)
+    src = os.path.dirname(os.path.dirname(freecomm.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "FREECOMM_INDEX_CAP"}
+    env["PYTHONPATH"] = src
+    argv = [sys.executable, "-m", "freecomm.cli", "iso", "compose", sigma, sigma]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    doc = json.loads(proc.stdout)
+    assert doc["codomain"] == graph_to_document(whole_group(2).graph)
+    assert doc["images"] == [word_to_text(w) for w in sigma_power_images(24)]
+    assert sum(map(len, doc["images"])) == 196_418
+
+
+def test_letter_limit_refuses_a_long_composite_at_once(tmp_path, monkeypatch):
+    # σ^14 after σ^14 would write 832,040 letters for the image of a alone
+    sigma = sigma_power_file(tmp_path, 14)
+    phi = iso_from_document(json.loads(Path(sigma).read_text()))
+    monkeypatch.setattr(words, "LETTER_LIMIT", 100_000)
+    start = time.perf_counter()
+    with pytest.raises(
+        WorkLimitError,
+        match=r"^apply_hom: \d+ letters written from 2 images exceed the letter limit \(100000\)$",
+    ):
+        compose(phi, phi)
+    assert time.perf_counter() - start < 1
+    code, out, err = invoke("iso", "compose", sigma, sigma)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: apply_hom: ") and "the letter limit (100000)" in err
+    assert "Traceback" not in err
 
 
 def test_iso_restrict(tmp_path):

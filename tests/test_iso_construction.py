@@ -17,10 +17,13 @@ from freecomm import (
     InvalidIsoError,
     Word,
     compose,
+    embed_aut,
     from_generators,
     identity_iso,
+    intersect,
     invert_iso,
     is_identity_class,
+    join,
     kernel_mod_p,
     make_iso,
     parse_word,
@@ -33,6 +36,7 @@ from freecomm import commensurator
 from support import (
     compose_by_inversion,
     invert_iso_by_make_iso,
+    random_aut_images,
     random_restriction_iso,
     random_small_domain,
     random_tiny_iso,
@@ -83,6 +87,28 @@ def test_benchmark_style_chains_match_reference(seed):
     assert is_identity_class(round_trip)
 
 
+@pytest.mark.parametrize("rank", (2, 3))
+def test_compose_shortcuts_match_reference(rank):
+    # K = codomain(alpha) ∩ domain(beta) is codomain(alpha) when beta is an
+    # automorphism, domain(beta) when alpha is one, and both for phi followed
+    # by its inverse; a random pair of restrictions mostly takes neither.  A
+    # skipped pull-back keeps alpha's domain, a skipped fold beta's codomain.
+    rng = random.Random(rank)
+    taken = {}
+    for _ in range(12):
+        phi, psi = random_restriction_iso(rng, rank), random_restriction_iso(rng, rank)
+        aut = embed_aut(random_aut_images(rng, rank))
+        for alpha, beta in ((phi, psi), (aut, phi), (phi, aut), (aut, aut), (phi, invert_iso(phi))):
+            composite = compose(alpha, beta)
+            assert_same_iso(composite, compose_by_inversion(alpha, beta))
+            k = intersect(alpha.codomain, beta.domain)
+            expected = (k == alpha.codomain, k == beta.domain)
+            assert (composite.domain is alpha.domain, composite.codomain is beta.codomain) == expected
+            taken[expected] = taken.get(expected, 0) + 1
+    # neither, the pull-back skipped, the fold skipped, both
+    assert set(taken) == {(False, False), (True, False), (False, True), (True, True)}, taken
+
+
 @given(
     st.integers(min_value=1, max_value=12),
     st.integers(min_value=1, max_value=12),
@@ -122,6 +148,31 @@ def test_transfer_to_subgroup_matches_reference(seed, rank):
     alpha = random_restriction_iso(rng, rank)
     h = random_small_domain(rng, rank)
     assert_same_iso(transfer_to_subgroup(alpha, h), transfer_to_subgroup_by_inversion(alpha, h))
+
+
+@given(seeds, st.sampled_from((2, 3)))
+@settings(deadline=None, max_examples=25)
+def test_transfer_to_an_overgroup_of_the_codomain_matches_reference(seed, rank):
+    # H contains codomain(alpha), so the pull-back of codomain(alpha) ∩ H is
+    # alpha's domain, which the pull-back returns as it is
+    rng = random.Random(seed)
+    alpha = random_restriction_iso(rng, rank)
+    h = rng.choice(
+        (alpha.codomain, whole_group(rank), join(alpha.codomain, random_small_domain(rng, rank)))
+    )
+    pulled = []
+    pull_back = commensurator._pull_back
+
+    def watched(phi, k):
+        pre = pull_back(phi, k)
+        pulled.append(pre is phi.domain)
+        return pre
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(commensurator, "_pull_back", watched)
+        transfer = transfer_to_subgroup(alpha, h)
+    assert pulled == [True]
+    assert_same_iso(transfer, transfer_to_subgroup_by_inversion(alpha, h))
 
 
 def test_constructor_rejects_rank_drop_as_make_iso_does():

@@ -10,6 +10,7 @@ from freecomm import (
     RankMismatchError,
     Word,
     WordError,
+    WorkLimitError,
     abelianize,
     apply_hom,
     concat,
@@ -22,6 +23,7 @@ from freecomm import (
     power,
     reduce,
     word_to_text,
+    words,
 )
 
 letters2 = st.sampled_from([1, -1, 2, -2])
@@ -156,6 +158,17 @@ def test_apply_hom_examples():
 def test_apply_hom_validates_rank():
     with pytest.raises(RankMismatchError):
         apply_hom([parse_word("a")], parse_word("ab"))
+
+
+def test_apply_hom_holds_the_letters_written_to_the_limit(monkeypatch):
+    # the letters count before reduction: abab writes ab·Ba·ab·Ba and keeps aaaa
+    images = [parse_word("ab"), parse_word("Ba")]
+    monkeypatch.setattr(words, "LETTER_LIMIT", 8)
+    assert apply_hom(images, parse_word("abab")) == parse_word("aaaa")
+    with pytest.raises(
+        WorkLimitError, match=r"^apply_hom: 10 letters written from 2 images exceed the letter limit \(8\)$"
+    ):
+        apply_hom(images, parse_word("ababa"))
 
 
 def test_plain_sequences_are_checked_as_words():
