@@ -5,10 +5,14 @@ commensurator modules for the formats); words use the letter syntax of
 the words module.  A path argument of "-" reads the document from
 stdin, so commands compose in shell pipelines.
 
+Each operation is declared once, in its group's builder in `_GROUPS`:
+its arguments, then its action, bound with `set_defaults(run=...)`.
+
 Exit codes: 0 for success (and for predicates that answer true), 1 for
 a false predicate, a failed scenario check or a standard output closed
 before the answer was written, 2 for usage errors and malformed
-documents.
+documents, with one line `error: <message>` on stderr, which for a
+resource limit (IndexCapError, WorkLimitError) also names the operation.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .commensurator import (
     transfer_to_overgroup,
     transfer_to_subgroup,
 )
-from .errors import FreecommError
+from .errors import FreecommError, IndexCapError, WorkLimitError
 from .scenarios import (
     bs_report,
     free_product_twist,
@@ -90,8 +94,28 @@ def _load_iso(path: str):
     return iso_from_document(_read_json(path))
 
 
-def _emit(doc) -> None:
+def _emit(doc) -> int:
     print(json.dumps(doc, indent=2))
+    return 0
+
+
+def _emit_lines(lines) -> int:
+    for line in lines:
+        print(line)
+    return 0
+
+
+def _emit_graph(h: Subgroup) -> int:
+    return _emit(graph_to_document(h.graph))
+
+
+def _emit_iso(phi) -> int:
+    return _emit(iso_to_document(phi))
+
+
+def _emit_report(report) -> int:
+    _emit(report_to_document(report))
+    return 0 if report.ok else 1
 
 
 def _emit_bool(value: bool) -> int:
@@ -117,152 +141,86 @@ def _parse_weights(text: str) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# operations: each group's actions of more than one step, then its builder
 
 
-def _cmd_subgroup(args) -> int:
-    op = args.op
-    if op == "gens":
-        rank = _check_rank(args.rank)
-        h = from_generators(rank, _parse_words(args.words, rank))
-        _emit(graph_to_document(h.graph))
-        return 0
-    if op == "kernel":
-        rank = _check_rank(args.rank)
-        weights = _parse_weights(args.weights)
-        h = kernel_mod_p(rank, weights, args.p)
-        _emit(graph_to_document(h.graph))
-        return 0
-    if op == "index":
-        idx = _load_subgroup(args.graph).index()
-        print("infinite" if idx is math.inf else idx)
-        return 0
-    if op == "basis":
-        for w in _load_subgroup(args.graph).basis.elements:
-            print(word_to_text(w))
-        return 0
-    if op == "normal":
-        return _emit_bool(is_normal(_load_subgroup(args.graph)))
-    if op == "subindex":
-        print(subindex(_load_subgroup(args.graph)))
-        return 0
-    if op == "intersect":
-        h = intersect(_load_subgroup(args.left), _load_subgroup(args.right))
-        _emit(graph_to_document(h.graph))
-        return 0
-    if op == "join":
-        h = join(_load_subgroup(args.left), _load_subgroup(args.right))
-        _emit(graph_to_document(h.graph))
-        return 0
-    # equals, the last operation the parser admits
-    return _emit_bool(_load_subgroup(args.left) == _load_subgroup(args.right))
-
-
-def _cmd_iso(args) -> int:
-    op = args.op
-    if op == "make":
-        domain = _load_subgroup(args.domain)
-        codomain = _load_subgroup(args.codomain)
-        images = _parse_words(args.images.split(","), domain.rank)
-        _emit(iso_to_document(make_iso(domain, codomain, images)))
-        return 0
-    if op == "apply":
-        phi = _load_iso(args.iso)
-        print(word_to_text(apply(phi, parse_word(args.word, rank=phi.rank))))
-        return 0
-    if op == "compose":
-        _emit(iso_to_document(compose(_load_iso(args.left), _load_iso(args.right))))
-        return 0
-    if op == "invert":
-        _emit(iso_to_document(invert_iso(_load_iso(args.iso))))
-        return 0
-    if op == "equiv":
-        a, b = _load_iso(args.left), _load_iso(args.right)
-        if args.bruteforce is not None:
-            return _emit_bool(equivalent_bruteforce(a, b, args.bruteforce))
-        return _emit_bool(equivalent(a, b))
-    if op == "restrict":
-        phi = _load_iso(args.iso)
-        _emit(iso_to_document(restrict(phi, _load_subgroup(args.to))))
-        return 0
-    if op == "extend-pair":
-        _emit(iso_to_document(extend_pair(_load_iso(args.left), _load_iso(args.right))))
-        return 0
-    if op == "extend-ambient":
-        result = compute_extension(_load_iso(args.iso))
-        if isinstance(result, NoExtension):
-            _emit(
-                {
-                    "extends": False,
-                    "reason": result.reason,
-                    "generator": result.generator,
-                    "exponent": result.exponent,
-                    "word": word_to_text(result.word) if result.word is not None else None,
-                }
-            )
-            return 1
-        _emit({"extends": True, "images": [word_to_text(w) for w in result]})
-        return 0
-    # transfer, the last operation the parser admits
-    phi = _load_iso(args.iso)
-    if (args.down is None) == (args.up is None):
-        raise _CliError("transfer needs exactly one of --down or --up")
-    if args.down is not None:
-        _emit(iso_to_document(transfer_to_subgroup(phi, _load_subgroup(args.down))))
-    else:
-        _emit(iso_to_document(transfer_to_overgroup(phi, _load_subgroup(args.up))))
-    return 0
-
-
-def _cmd_paper(args) -> int:
-    op = args.op
-    if op == "kernel-swap":
-        report = kernel_swap(_check_rank(args.rank), args.prime)
-    elif op == "twist":
-        rank = _check_rank(args.rank)
-        b = parse_word(args.b, rank=rank) if args.b is not None else None
-        report = free_product_twist(rank, args.prime, b)
-    elif op == "bs":
-        report = bs_report(args.k, args.p, args.samples, args.seed)
-    else:  # hnn, the last scenario the parser admits
-        report = hnn_report(args.n, args.bound)
-    _emit(report_to_document(report))
-    return 0 if report.ok else 1
-
-
-def _cmd_export(args) -> int:
-    graph = graph_from_document(_read_json(args.graph))
-    if args.format == "dot":
-        sys.stdout.write(graph_to_dot(graph))
-    else:
-        _emit(graph_to_document(graph))
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# parser
+def _index(args) -> int:
+    idx = _load_subgroup(args.graph).index()
+    return _emit_lines(["infinite" if idx is math.inf else idx])
 
 
 def _subgroup_ops(sub_ops) -> None:
     p = sub_ops.add_parser("gens", help="fold generators into a subgroup")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("words", nargs="*", help="generator words (letter syntax)")
+    p.set_defaults(run=lambda a: _emit_graph(
+        from_generators(a.rank, _parse_words(a.words, _check_rank(a.rank)))))
     p = sub_ops.add_parser("kernel", help="kernel of a mod-p weight map")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--weights", required=True, help="comma-separated integers")
     p.add_argument("--p", type=int, required=True)
-    for name, help_text in (
-        ("index", "index in the ambient group"),
-        ("basis", "canonical basis, one word per line"),
-        ("normal", "normality in the ambient group"),
-        ("subindex", "minimal chain bound to the ambient group"),
+    p.set_defaults(run=lambda a: _emit_graph(
+        kernel_mod_p(_check_rank(a.rank), _parse_weights(a.weights), a.p)))
+    for name, help_text, action in (
+        ("index", "index in the ambient group", _index),
+        ("basis", "canonical basis, one word per line",
+         lambda a: _emit_lines(map(word_to_text, _load_subgroup(a.graph).basis.elements))),
+        ("normal", "normality in the ambient group",
+         lambda a: _emit_bool(is_normal(_load_subgroup(a.graph)))),
+        ("subindex", "minimal chain bound to the ambient group",
+         lambda a: _emit_lines([subindex(_load_subgroup(a.graph))])),
     ):
         p = sub_ops.add_parser(name, help=help_text)
         p.add_argument("graph", nargs="?", default="-", help="graph document ('-' = stdin)")
-    for name in ("intersect", "join", "equals"):
+        p.set_defaults(run=action)
+    for name, action in (
+        ("intersect",
+         lambda a: _emit_graph(intersect(_load_subgroup(a.left), _load_subgroup(a.right)))),
+        ("join", lambda a: _emit_graph(join(_load_subgroup(a.left), _load_subgroup(a.right)))),
+        ("equals", lambda a: _emit_bool(_load_subgroup(a.left) == _load_subgroup(a.right))),
+    ):
         p = sub_ops.add_parser(name)
         p.add_argument("left")
         p.add_argument("right")
+        p.set_defaults(run=action)
+
+
+def _make(args) -> int:
+    domain = _load_subgroup(args.domain)
+    codomain = _load_subgroup(args.codomain)
+    images = _parse_words(args.images.split(","), domain.rank)
+    return _emit_iso(make_iso(domain, codomain, images))
+
+
+def _apply(args) -> int:
+    phi = _load_iso(args.iso)
+    return _emit_lines([word_to_text(apply(phi, parse_word(args.word, rank=phi.rank)))])
+
+
+def _equiv(args) -> int:
+    a, b = _load_iso(args.left), _load_iso(args.right)
+    if args.bruteforce is not None:
+        return _emit_bool(equivalent_bruteforce(a, b, args.bruteforce))
+    return _emit_bool(equivalent(a, b))
+
+
+def _extend_ambient(args) -> int:
+    result = compute_extension(_load_iso(args.iso))
+    if isinstance(result, NoExtension):
+        word = word_to_text(result.word) if result.word is not None else None
+        _emit({"extends": False, "reason": result.reason, "generator": result.generator,
+               "exponent": result.exponent, "word": word})
+        return 1
+    return _emit({"extends": True, "images": [word_to_text(w) for w in result]})
+
+
+def _transfer(args) -> int:
+    phi = _load_iso(args.iso)
+    if (args.down is None) == (args.up is None):
+        raise _CliError("transfer needs exactly one of --down or --up")
+    if args.down is not None:
+        return _emit_iso(transfer_to_subgroup(phi, _load_subgroup(args.down)))
+    return _emit_iso(transfer_to_overgroup(phi, _load_subgroup(args.up)))
 
 
 def _iso_ops(iso_ops) -> None:
@@ -270,60 +228,90 @@ def _iso_ops(iso_ops) -> None:
     p.add_argument("--domain", required=True)
     p.add_argument("--codomain", required=True)
     p.add_argument("--images", required=True, help="comma-separated words, basis order")
+    p.set_defaults(run=_make)
     p = iso_ops.add_parser("apply")
     p.add_argument("iso", nargs="?", default="-")
     p.add_argument("word")
-    for name in ("compose", "extend-pair"):
+    p.set_defaults(run=_apply)
+    for name, action in (
+        ("compose", lambda a: _emit_iso(compose(_load_iso(a.left), _load_iso(a.right)))),
+        ("extend-pair", lambda a: _emit_iso(extend_pair(_load_iso(a.left), _load_iso(a.right)))),
+    ):
         p = iso_ops.add_parser(name)
         p.add_argument("left")
         p.add_argument("right")
+        p.set_defaults(run=action)
     p = iso_ops.add_parser("invert")
     p.add_argument("iso", nargs="?", default="-")
+    p.set_defaults(run=lambda a: _emit_iso(invert_iso(_load_iso(a.iso))))
     p = iso_ops.add_parser("equiv")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--bruteforce", type=int, default=None, metavar="MAX_INDEX")
+    p.set_defaults(run=_equiv)
     p = iso_ops.add_parser("restrict")
     p.add_argument("iso", nargs="?", default="-")
     p.add_argument("--to", required=True, help="graph document for the smaller domain")
+    p.set_defaults(run=lambda a: _emit_iso(restrict(_load_iso(a.iso), _load_subgroup(a.to))))
     p = iso_ops.add_parser("extend-ambient")
     p.add_argument("iso", nargs="?", default="-")
+    p.set_defaults(run=_extend_ambient)
     p = iso_ops.add_parser("transfer")
     p.add_argument("iso", nargs="?", default="-")
     p.add_argument("--down", help="graph document: view the iso over this subgroup")
     p.add_argument("--up", help="graph document: lift the iso along this subgroup")
+    p.set_defaults(run=_transfer)
+
+
+def _twist(args) -> int:
+    rank = _check_rank(args.rank)
+    b = parse_word(args.b, rank=rank) if args.b is not None else None
+    return _emit_report(free_product_twist(rank, args.prime, b))
 
 
 def _paper_ops(paper_ops) -> None:
     p = paper_ops.add_parser("kernel-swap")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--prime", type=int, required=True)
+    p.set_defaults(run=lambda a: _emit_report(kernel_swap(_check_rank(a.rank), a.prime)))
     p = paper_ops.add_parser("twist")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--b", default=None, help="twisting element (default: second generator)")
+    p.set_defaults(run=_twist)
     p = paper_ops.add_parser("bs")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(run=lambda a: _emit_report(bs_report(a.k, a.p, a.samples, a.seed)))
     p = paper_ops.add_parser("hnn")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
+    p.set_defaults(run=lambda a: _emit_report(hnn_report(a.n, a.bound)))
+
+
+def _export_dot(args) -> int:
+    graph = graph_from_document(_read_json(args.graph))
+    if args.format == "dot":
+        sys.stdout.write(graph_to_dot(graph))
+        return 0
+    return _emit(graph_to_document(graph))
 
 
 def _export_ops(exp_ops) -> None:
     p = exp_ops.add_parser("dot")
     p.add_argument("graph", nargs="?", default="-")
     p.add_argument("--format", choices=("dot", "text"), default="dot")
+    p.set_defaults(run=_export_dot)
 
 
-# group -> (help text, the function adding its operations, handler)
+# group -> (help text, the function adding its operations)
 _GROUPS = {
-    "subgroup": ("core graph operations", _subgroup_ops, _cmd_subgroup),
-    "iso": ("partial isomorphism operations", _iso_ops, _cmd_iso),
-    "paper": ("scenario reports", _paper_ops, _cmd_paper),
-    "export": ("render a graph document", _export_ops, _cmd_export),
+    "subgroup": ("core graph operations", _subgroup_ops),
+    "iso": ("partial isomorphism operations", _iso_ops),
+    "paper": ("scenario reports", _paper_ops),
+    "export": ("render a graph document", _export_ops),
 }
 
 
@@ -337,7 +325,7 @@ def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     )
     top = parser.add_subparsers(dest="command", required=True)
     named = next((arg for arg in argv if not arg.startswith("-")), None)
-    for name, (help_text, add_ops, _) in _GROUPS.items():
+    for name, (help_text, add_ops) in _GROUPS.items():
         group = top.add_parser(name, help=help_text)
         if name == named:
             add_ops(group.add_subparsers(dest="op", required=True))
@@ -353,8 +341,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _GROUPS[args.command][2](args)
+        return args.run(args)
     except (_CliError, FreecommError, ValueError) as exc:
+        if isinstance(exc, (IndexCapError, WorkLimitError)):  # the library names only its step
+            exc = f"{args.command} {args.op}: {exc}"
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -306,14 +306,14 @@ def _candidate_subgroups(rank: int, top: Subgroup, max_index: int):
         seen.add(top)
         yield top
     weight_sets = {
-        2: [(1,), (0, 1), (1, 1), (1, 0)],
-        3: [(1,), (0, 1), (1, 1), (1, 2), (1, 0)],
+        2: [(1,), (0, 1), (1, 1)],
+        3: [(1,), (0, 1), (1, 1), (1, 2)],
     }
     for p, weight_rows in weight_sets.items():
         if top_index * p > max_index:
             continue
-        for row in weight_rows:
-            weights = tuple(row[i] if i < len(row) else 0 for i in range(rank))
+        # rows cut to rank 1 coincide: build each kernel once
+        for weights in dict.fromkeys((row + (0,) * rank)[:rank] for row in weight_rows):
             if all(w % p == 0 for w in weights):
                 continue
             ker = kernel_mod_p(rank, weights, p)

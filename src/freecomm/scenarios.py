@@ -27,6 +27,7 @@ from .commensurator import (
     iso_to_document,
     make_iso,
 )
+from . import words
 from .errors import WorkLimitError
 from .record import Record
 from .stallings import (
@@ -81,6 +82,19 @@ def _require_prime(op: str, p: int) -> None:
     _require_modulus_under_cap(op, p)
     if not _is_prime(p):
         raise ValueError(f"expected a prime, got {p}")
+
+
+def _swap_kernel(op: str, rank: int, p: int, extra_letters: int = 0):
+    """The Z/p kernel on the first generator that kernel_swap and
+    free_product_twist start from.  Its basis, about (rank - 1)·p² letters,
+    and the scenario's extra letters are held to the letter limit first."""
+    if rank < 2:
+        raise ValueError(f"rank must be at least 2, got {rank}")
+    _require_prime(op, p)
+    letters, limit = (rank - 1) * p * p + extra_letters, words.LETTER_LIMIT
+    if letters > limit:
+        raise WorkLimitError(f"{op}: {letters} letters exceed the letter limit ({limit})")
+    return kernel_mod_p(rank, (1,) + (0,) * (rank - 1), p)
 
 
 # ---------------------------------------------------------------------------
@@ -154,13 +168,10 @@ def kernel_swap(rank: int, p: int) -> ScenarioReport:
     automorphism of the ambient group, and compute_extension certifies
     this with a concrete root failure.
     """
-    if rank < 2:
-        raise ValueError(f"rank must be at least 2, got {rank}")
-    _require_prime("kernel_swap", p)
+    h = _swap_kernel("kernel_swap", rank, p)
     x = Word((1,))
     y = Word((2,))
     xp = power(x, p)
-    h = kernel_mod_p(rank, (1,) + (0,) * (rank - 1), p)
     basis = h.basis.elements
     i_xp = basis.index(xp)
     i_y = basis.index(y)
@@ -229,12 +240,10 @@ def free_product_twist(rank: int, p: int, b: Optional[Word] = None) -> ScenarioR
     fixes H ∩ A and H ∩ B elementwise without being the identity class,
     so it extends to no ambient automorphism.
     """
-    if rank < 2:
-        raise ValueError(f"rank must be at least 2, got {rank}")
-    _require_prime("free_product_twist", p)
     if b is None:
         b = Word((2,))
-    h = kernel_mod_p(rank, (1,) + (0,) * (rank - 1), p)
+    # each of the (rank - 1)·(p - 1) twisted images gains b and its inverse
+    h = _swap_kernel("free_product_twist", rank, p, 2 * (rank - 1) * (p - 1) * len(b))
     a_sub = from_generators(rank, [Word((1,))])
     b_sub = from_generators(rank, [Word((j,)) for j in range(2, rank + 1)])
     if not (b_sub.contains(b) and h.contains(b) and len(b) > 0):

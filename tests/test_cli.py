@@ -1,5 +1,6 @@
 """Command-line front door: documents in, documents out, exit codes."""
 
+import argparse
 import io
 import json
 import os
@@ -31,6 +32,7 @@ from freecomm import (
     word_to_text,
     words,
 )
+from freecomm import cli
 from freecomm.cli import run
 from support import abelian_kernel
 
@@ -240,8 +242,63 @@ def test_letter_limit_refuses_a_long_composite_at_once(tmp_path, monkeypatch):
     assert time.perf_counter() - start < 1
     code, out, err = invoke("iso", "compose", sigma, sigma)
     assert (code, out) == (2, "")
-    assert err.startswith("error: apply_hom: ") and "the letter limit (100000)" in err
+    assert err.startswith("error: iso compose: apply_hom: ") and "the letter limit (100000)" in err
     assert "Traceback" not in err
+
+
+def test_resource_errors_name_the_operation(tmp_path, monkeypatch):
+    # the library names only the step that met the cap; other errors keep their line
+    monkeypatch.setenv("FREECOMM_INDEX_CAP", "40")
+    whole = write_doc(tmp_path / "f2.json", graph_to_document(whole_group(2).graph))
+    images = ",".join(word_to_text(w) for w in sigma_power_images(8))
+    assert invoke("iso", "make", "--domain", whole, "--codomain", whole, "--images", images) == (
+        2,
+        "",
+        "error: iso make: from_generators: the folded graph would exceed the vertex cap (40) "
+        "with 55 live vertices (55 allocated); raise FREECOMM_INDEX_CAP to allow larger graphs\n",
+    )
+    assert invoke("subgroup", "kernel", "--rank", "2", "--weights", "1,0", "--p", "41") == (
+        2,
+        "",
+        "error: subgroup kernel: kernel_mod_p: modulus 41 exceeds the vertex cap (40); "
+        "raise FREECOMM_INDEX_CAP to allow larger graphs\n",
+    )
+    assert invoke("paper", "kernel-swap", "--rank", "2", "--prime", "4") == (
+        2,
+        "",
+        "error: expected a prime, got 4\n",
+    )
+
+
+def test_scenario_letters_are_held_to_the_letter_limit(monkeypatch):
+    # rank 26 at p = 9973 passes the cap and primality, and would write
+    # 25·9973² letters, tens of GB
+    start = time.perf_counter()
+    assert invoke("paper", "kernel-swap", "--rank", "26", "--prime", "9973") == (
+        2,
+        "",
+        "error: paper kernel-swap: kernel_swap: 2486518225 letters exceed the letter limit (10000000)\n",
+    )
+    assert time.perf_counter() - start < 1
+    # at rank 2 and p = 7 the kernel's basis counts 7² = 49 letters, and
+    # the twist's six conjugated images 2·6·len(b) more
+    monkeypatch.setattr(words, "LETTER_LIMIT", 49)
+    assert invoke("paper", "kernel-swap", "--rank", "2", "--prime", "7")[0] == 0
+    assert invoke("paper", "kernel-swap", "--rank", "2", "--prime", "11") == (
+        2,
+        "",
+        "error: paper kernel-swap: kernel_swap: 121 letters exceed the letter limit (49)\n",
+    )
+    assert invoke("paper", "twist", "--rank", "2", "--prime", "7") == (
+        2,
+        "",
+        "error: paper twist: free_product_twist: 61 letters exceed the letter limit (49)\n",
+    )
+    monkeypatch.setattr(words, "LETTER_LIMIT", 61)
+    assert invoke("paper", "twist", "--rank", "2", "--prime", "7")[0] == 0
+    code, out, err = invoke("paper", "twist", "--rank", "2", "--prime", "7", "--b", "bb")
+    assert (code, out) == (2, "")
+    assert err == "error: paper twist: free_product_twist: 73 letters exceed the letter limit (61)\n"
 
 
 def test_iso_restrict(tmp_path):
@@ -568,6 +625,17 @@ def test_kernel_rejects_trivial_weights():
     code, _, err = invoke("subgroup", "kernel", "--rank", "2", "--weights", "2,4", "--p", "2")
     assert code == 2
     assert "weights" in err
+
+
+@pytest.mark.parametrize("group", list(cli._GROUPS))
+def test_every_operation_has_an_action(group):
+    parser = cli._build_parser([group])
+    (groups,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    group_parser = groups.choices[group]
+    (ops,) = [a for a in group_parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert ops.choices
+    for name, op_parser in ops.choices.items():
+        assert callable(op_parser.get_default("run")), f"{group} {name} has no action"
 
 
 def test_usage_errors():

@@ -40,6 +40,7 @@ from freecomm import (
     whole_group,
     word_to_text,
 )
+from freecomm import commensurator
 from support import (
     compose_images,
     random_aut_images,
@@ -212,6 +213,22 @@ def test_bruteforce_oracle_examples():
     for bound in (0, -1):
         with pytest.raises(ValueError, match="max_index must be positive"):
             equivalent_bruteforce(swap, swap, bound)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_bruteforce_builds_each_kernel_once(rank, monkeypatch):
+    built = []
+    real = commensurator.kernel_mod_p
+
+    def spy(r, weights, p):
+        built.append((p, tuple(weights)))
+        return real(r, weights, p)
+
+    monkeypatch.setattr(commensurator, "kernel_mod_p", spy)
+    # inverting a agrees with the identity nowhere, so every candidate is tried
+    moved = embed_aut([Word((-1,))] + [Word((j,)) for j in range(2, rank + 1)])
+    assert not equivalent_bruteforce(moved, identity_iso(whole_group(rank)), 36)
+    assert built and len(built) == len(set(built))
 
 
 @given(seeds)
