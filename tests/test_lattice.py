@@ -13,6 +13,7 @@ from freecomm import (
     IndexCapError,
     InfiniteIndexError,
     from_generators,
+    intersect,
     join,
     kernel_mod_p,
     overgroups,
@@ -79,6 +80,54 @@ def test_abelian_kernels_match_queue_reference(moduli):
 def test_cyclic_kernels_match_queue_reference():
     for p in range(2, 61):
         assert_matches_queue_reference(kernel_mod_p(2, (1, 0), p))
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6))
+@settings(deadline=None, max_examples=60)
+def test_intersections_match_queue_reference(seed):
+    # random actions of large degree are almost always primitive; H meet K
+    # at composite index up to 60 has H and K among its overgroups
+    rng = random.Random(seed)
+    rank = rng.choice((2, 3))
+    a = rng.randrange(2, 9)
+    b = rng.randrange(2, 60 // a + 1)
+    h = random_cover(rng, rank, a)
+    if rng.random() < 0.5:
+        k = random_cover(rng, rank, b)
+    else:
+        weights = [rng.randrange(b) for _ in range(rank)]
+        weights[rng.randrange(rank)] = 1
+        k = kernel_mod_p(rank, weights, b)
+    m = intersect(h, k)
+    assert_matches_queue_reference(m)
+    lattice = overgroups(m)
+    assert h in lattice and k in lattice
+
+
+def assert_block_system(graph, labels):
+    """labels names each coset's class, and every label maps classes to classes."""
+    for l in range(1, graph.rank + 1):
+        image = {}
+        for v in range(graph.num_vertices):
+            assert image.setdefault(labels[v], labels[graph.adj[v][l]]) == labels[graph.adj[v][l]]
+
+
+def test_composite_index_abandons_joins_to_smaller_classes():
+    # Z/2018 acts regularly, so its block systems are its four subgroups.
+    # The trivial system keeps one join per coarser system, the least coset
+    # of its block, not all 2,017; the other two have a prime number of
+    # classes and join once each
+    h = kernel_mod_p(2, (1, 0), 2018)
+    systems, rows = _block_systems(h.graph)
+    assert sum(map(len, rows)) == 5
+    assert sorted(labels.count(0) for labels in systems) == [1, 2, 1009, 2018]
+    for labels in systems:
+        assert_block_system(h.graph, labels)
+    h = kernel_mod_p(2, (1, 0), 1018)
+    start = time.perf_counter()
+    assert subindex(h) == 509
+    assert [g.index() for g in overgroups(h)] == [1, 2, 509, 1018]
+    assert time.perf_counter() - start < 3
 
 
 def test_prime_index_joins_once():
