@@ -18,7 +18,7 @@ isomorphism.
 from __future__ import annotations
 
 import math
-from functools import reduce as _functools_reduce
+from functools import cached_property, reduce as _functools_reduce
 from typing import Optional, Sequence, Union
 
 from .errors import (
@@ -27,6 +27,7 @@ from .errors import (
     NotInSubgroupError,
     RankMismatchError,
 )
+from . import words
 from .record import Record
 from .stallings import (
     Subgroup,
@@ -49,6 +50,7 @@ from .stallings import (
 )
 from .words import (
     Word,
+    _letter_limit_error,
     _quoted,
     _require_rank,
     apply_hom,
@@ -101,6 +103,11 @@ class PartialIso(Record):
     @property
     def rank(self) -> int:
         return self.domain.rank
+
+    @cached_property
+    def _inverses(self) -> list:
+        """_inverses[i] is the inverse of images[i], once apply has used it."""
+        return [None] * len(self.images)
 
 
 class NoExtension(Record):
@@ -181,8 +188,50 @@ def identity_iso(h: Subgroup) -> PartialIso:
 
 
 def apply(phi: PartialIso, w: Word) -> Word:
-    """Image of w (which must lie in the domain) under the map."""
-    return apply_hom(phi.images, phi.domain.express_in_basis(w))
+    """Image of w (which must lie in the domain) under the map.
+
+    w's path is read once along the domain's table (Subgroup._steps): each
+    off-tree edge it crosses appends its image, or the inverse image when
+    crossed backward.  A Word's path never crosses an edge straight back,
+    so this writes the letters that apply_hom writes for w's basis
+    expression; the images are reduced, so only a seam can cancel.  A word
+    the walk cannot finish, or one past the letter limit, is refused as
+    that pair refuses it: the rank check, membership, then the limit.
+    Input that is not a Word takes that pair, which checks it.
+    """
+    if not isinstance(w, Word):
+        return apply_hom(phi.images, phi.domain.express_in_basis(w))
+    steps, images, inverses = phi.domain._steps, phi.images, phi._inverses
+    limit = words.LETTER_LIMIT
+    out: list[int] = []
+    pos = written = 0
+    for a in w:
+        try:
+            pos, i = steps[pos][a]
+        except KeyError:  # a domain is a cover, so only a letter past the rank is missing
+            break
+        if not i:
+            continue
+        if i > 0:
+            img = images[i - 1]
+        else:
+            img = inverses[-i - 1]
+            if img is None:
+                img = inverses[-i - 1] = invert(images[-i - 1])
+        n = len(img)
+        written += n
+        if written > limit:
+            break
+        k = 0
+        while out and k < n and out[-1] == -img[k]:
+            out.pop()
+            k += 1
+        out.extend(img[k:] if k else img)
+    else:
+        if pos == 0:
+            return tuple.__new__(Word, out)
+    phi.domain.express_in_basis(w)  # raises unless w lies in the domain
+    raise _letter_limit_error(written, len(images))
 
 
 def _pull_back(alpha: PartialIso, k: Subgroup) -> Subgroup:

@@ -521,6 +521,18 @@ class Subgroup(Record):
         )
         return Basis(elements=elements)
 
+    @cached_property
+    def _steps(self) -> tuple[dict, ...]:
+        """_steps[v][a] = (w, i): the signed letter a leads from v to w, across
+        the i-th off-tree edge (backward when i < 0), or along the tree when
+        i = 0.  A path reads one entry a letter, and the edges it crosses
+        spell its word over the basis (Stallings 1983)."""
+        index = self._tree[1]
+        return tuple(
+            {a: (w, index.get((v, a), 0)) for a, w in row.items()}
+            for v, row in enumerate(self.graph.adj)
+        )
+
     def express_in_basis(self, w: Word) -> Word:
         """Rewrite w (which must lie in this subgroup) over the canonical basis.
 
@@ -530,16 +542,17 @@ class Subgroup(Record):
         for a Word it is reduced as read.
         """
         _require_rank(w, self.rank, "word")
-        adj, index = self.graph.adj, self._tree[1]
+        steps = self._steps
         pos: Optional[int] = 0
         letters: list[int] = []
         for a in w:
-            i = index.get((pos, a))
-            if i is not None:
-                letters.append(i)
-            pos = adj[pos].get(a)
-            if pos is None:
+            step = steps[pos].get(a)
+            if step is None:
+                pos = None
                 break
+            pos, i = step
+            if i:
+                letters.append(i)
         if pos != 0:
             raise NotInSubgroupError(f"{_quoted(w)} is not in the subgroup")
         return tuple.__new__(Word, letters) if isinstance(w, Word) else Word(letters)

@@ -135,7 +135,10 @@ def cyclic_split(w: Word) -> tuple[Word, Word]:
     n, k = len(w), 0
     while n - 2 * k >= 2 and w[k] == -w[n - 1 - k]:
         k += 1
-    return Word(w[n - k :]), Word(w[k : n - k])
+    if not isinstance(w, Word):
+        return Word(w[n - k :]), Word(w[k : n - k])
+    # the parts of a reduced word are reduced
+    return tuple.__new__(Word, w[n - k :]), tuple.__new__(Word, w[k : n - k])
 
 
 def power(w: Word, n: int) -> Word:
@@ -145,13 +148,23 @@ def power(w: Word, n: int) -> Word:
     if n < 0:
         return power(invert(w), -n)
     u, c = cyclic_split(w)
-    # c**n needs no reduction: c is cyclically reduced.
-    return Word(tuple(invert(u)) + tuple(c) * n + tuple(u))
+    return _around(u, tuple(c) * n, w)
+
+
+def _around(u: Word, core: tuple, w) -> Word:
+    """u⁻¹·core·u, for w = u⁻¹·c·u and a core that begins and ends as c does.
+
+    When w is a Word it is reduced and c cyclically reduced, so cⁿ and a
+    prefix of c that c repeats are reduced, and so are both seams, as in
+    w: the result is built as it stands.  Any other w is checked by Word.
+    """
+    letters = tuple(invert(u)) + core + tuple(u)
+    return tuple.__new__(Word, letters) if isinstance(w, Word) else Word(letters)
 
 
 def conjugate(w: Word, g: Word) -> Word:
-    """g⁻¹·w·g."""
-    return Word(tuple(invert(g)) + tuple(w) + tuple(g))
+    """g⁻¹·w·g; concat cancels at both seams, and checks input that is not a Word."""
+    return concat(concat(invert(g), w), g)
 
 
 def nth_root(w: Word, n: int) -> Optional[Word]:
@@ -176,14 +189,24 @@ def nth_root(w: Word, n: int) -> Optional[Word]:
     piece = tuple(c)[:m]
     if tuple(c) != piece * n:
         return None
-    return Word(tuple(invert(u)) + piece + tuple(u))
+    return _around(u, piece, w)
 
 
-# The most letters one apply_hom call may write before reduction.  The
-# benchmark and a rank-2 chain of restricted automorphisms to index 5,400
-# write under 9,000 in a call; composing σ^16 with itself, for the
-# automorphism σ: a → ab, b → a, writes 5.7 M, and σ^18 with itself 39 M.
+# The most letters one word map (apply_hom, or commensurator.apply) may
+# write before reduction.  The benchmark and a rank-2 chain of restricted
+# automorphisms to index 5,400 write under 9,000 in a call; composing σ^16
+# with itself, for the automorphism σ: a → ab, b → a, writes 5.7 M, and
+# σ^18 with itself 39 M.
 LETTER_LIMIT = 10_000_000
+
+
+def _letter_limit_error(written: int, images: int) -> WorkLimitError:
+    """The error of a word map that wrote more than LETTER_LIMIT letters
+    from a list of `images` images."""
+    return WorkLimitError(
+        f"apply_hom: {written} letters written from {images} images "
+        f"exceed the letter limit ({LETTER_LIMIT})"
+    )
 
 
 def apply_hom(images: Sequence[Word], w: Word) -> Word:
@@ -204,10 +227,7 @@ def apply_hom(images: Sequence[Word], w: Word) -> Word:
             ) from None
         out.extend(img if a > 0 else invert(img))
         if len(out) > LETTER_LIMIT:
-            raise WorkLimitError(
-                f"apply_hom: {len(out)} letters written from {len(images)} images "
-                f"exceed the letter limit ({LETTER_LIMIT})"
-            )
+            raise _letter_limit_error(len(out), len(images))
     return Word(out)
 
 

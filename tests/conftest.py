@@ -1,9 +1,12 @@
 """Test-wide fixtures."""
 
+import sys
+
 import pytest
 
 from freecomm import EPSILON, Word, commensurator, stallings
 from freecomm.errors import FreecommError
+from support import apply_by_expression
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -114,3 +117,49 @@ def check_walk_tables():
     stallings._graph = checked
     yield
     stallings._graph = build
+
+
+def _outcome(fn, *args):
+    """(result, None) when fn returns, (None, the exception) when it raises."""
+    try:
+        return fn(*args), None
+    except Exception as exc:
+        return None, exc
+
+
+@pytest.fixture(autouse=True, scope="session")
+def check_iso_apply():
+    """Check every apply against the path it replaced.
+
+    apply walks a word once along its domain's table; apply_by_expression
+    writes the word's basis expression and maps it through apply_hom.
+    Each call must return the same Word, or raise an exception of the same
+    type with the same message.  apply is replaced in every module that
+    holds it, the tests' own included, so the CLI's calls and the tests'
+    are checked as well as the library's.
+    """
+    walk = commensurator.apply
+
+    def checked(phi, w):
+        got, error = _outcome(walk, phi, w)
+        expected, expected_error = _outcome(apply_by_expression, phi, w)
+        if expected_error is None:
+            assert error is None, f"apply raised {error!r} where the reference returned"
+            assert type(got) is Word and got == expected, "apply and the reference differ"
+            return got
+        assert (type(error), str(error)) == (type(expected_error), str(expected_error)), (
+            f"apply gave {error!r} where the reference raised {expected_error!r}"
+        )
+        raise error
+
+    holders = [
+        (module, name)
+        for module in list(sys.modules.values())
+        for name, value in list(vars(module).items())
+        if value is walk
+    ]
+    for module, name in holders:
+        setattr(module, name, checked)
+    yield
+    for module, name in holders:
+        setattr(module, name, walk)

@@ -484,6 +484,12 @@ def join_by_wedge(h: Subgroup, k: Subgroup) -> Subgroup:
 # how the library built maps before it built them by construction.
 
 
+def apply_by_expression(phi: PartialIso, w: Word) -> Word:
+    """apply as it was before it read the domain's table: w's basis
+    expression, mapped through apply_hom."""
+    return apply_hom(phi.images, phi.domain.express_in_basis(w))
+
+
 def image_subgroup(phi: PartialIso, k: Subgroup) -> Subgroup:
     return from_generators(phi.rank, [apply(phi, b) for b in k.basis.elements])
 

@@ -11,8 +11,11 @@ from freecomm import (
     NoExtension,
     NotInSubgroupError,
     PartialIso,
+    RankMismatchError,
     Word,
+    WorkLimitError,
     apply,
+    apply_hom,
     compose,
     compose_many,
     compute_extension,
@@ -39,9 +42,11 @@ from freecomm import (
     transfer_to_subgroup,
     whole_group,
     word_to_text,
+    words,
 )
 from freecomm import commensurator
 from support import (
+    apply_by_expression,
     compose_images,
     random_aut_images,
     random_restriction_iso,
@@ -114,6 +119,60 @@ def test_apply_examples():
 def test_apply_rejects_outsiders():
     with pytest.raises(NotInSubgroupError):
         apply(kernel_swap_iso(), parse_word("a"))
+
+
+def _outcome(fn, *args):
+    """What a call gives: its result with its type, or its exception's type and message."""
+    try:
+        result = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(result), result
+
+
+# spoilers spliced into a word of the domain: letters that leave it, a
+# cancelling pair, and what only a sequence that is not a Word can hold
+SPOILERS = [[1], [-2], [2, -2], [-1, 1], [3], [-3], [0], [1.0]]
+
+
+@given(seeds, st.data())
+@settings(deadline=None, max_examples=200)
+def test_apply_refuses_as_the_expression_path_does(seed, data):
+    # apply must give what apply_by_expression gives, on input the rest of
+    # the suite does not reach: sequences that are not Words, words outside
+    # the domain or past the rank, and the letter limit's boundary, where a
+    # word outside the domain is refused for that first
+    phi = random_restriction_iso(random.Random(seed), 2)
+    basis = phi.domain.basis.elements
+    expr = data.draw(st.lists(st.sampled_from(range(-len(basis), len(basis) + 1)), max_size=5))
+    letters = list(apply_hom(basis, Word(a for a in expr if a)))
+    for _ in range(data.draw(st.integers(0, 2))):
+        at = data.draw(st.integers(0, len(letters)))
+        letters[at:at] = data.draw(st.sampled_from(SPOILERS))
+    kinds = [tuple, list]
+    if all(type(a) is int and a for a in letters):
+        kinds.append(Word)
+    w = data.draw(st.sampled_from(kinds))(letters)
+    written = sum(len(phi.images[abs(i) - 1]) for i in Word(a for a in expr if a))
+    limit = data.draw(st.sampled_from([None, 0, written - 1, written, written + 1]))
+    with pytest.MonkeyPatch.context() as mp:
+        if limit is not None:
+            mp.setattr(words, "LETTER_LIMIT", limit)
+        assert _outcome(apply, phi, w) == _outcome(apply_by_expression, phi, w)
+
+
+def test_apply_checks_rank_and_membership_before_the_letter_limit(monkeypatch):
+    swap = kernel_swap_iso()  # b -> aaa on the index-3 kernel of a
+    monkeypatch.setattr(words, "LETTER_LIMIT", 3)
+    assert apply(swap, parse_word("b")) == parse_word("aaa")
+    with pytest.raises(
+        WorkLimitError, match=r"^apply_hom: 6 letters written from 4 images exceed the letter limit \(3\)$"
+    ):
+        apply(swap, parse_word("bbbb"))
+    with pytest.raises(NotInSubgroupError, match=r"^'bbbbA' is not in the subgroup$"):
+        apply(swap, parse_word("bbbbA"))
+    with pytest.raises(RankMismatchError, match=r"^word 'bbbbc' exceeds rank 2$"):
+        apply(swap, parse_word("bbbbc"))
 
 
 def test_invert_examples():

@@ -86,12 +86,47 @@ def test_word_fast_paths_match_full_reduction(u, v):
     assert concat(tuple(u), tuple(v)) == concat(u, v)
 
 
+def _built_reduced(result, letters):
+    """result is a Word, reduced, and equal to what Word(letters) reduces to."""
+    assert type(result) is Word
+    assert tuple(result) == tuple(Word(result)) == tuple(Word(letters))
+
+
+@given(words3, words3, st.integers(min_value=-4, max_value=4), st.integers(min_value=1, max_value=4))
+def test_words_from_reduced_parts_match_full_reduction(w, g, n, m):
+    # conjugate, power, nth_root and cyclic_split build from reduced parts
+    # without the checked constructor; each must be what Word would reduce
+    _built_reduced(conjugate(w, g), tuple(invert(g)) + tuple(w) + tuple(g))
+    _built_reduced(power(w, n), tuple(w) * n if n >= 0 else tuple(invert(w)) * -n)
+    u, c = cyclic_split(w)
+    _built_reduced(u, w[len(w) - len(u) :])
+    _built_reduced(c, w[len(u) : len(w) - len(u)])
+    _built_reduced(nth_root(power(w, m), m), w)
+    root = nth_root(w, m)
+    if root is not None:
+        _built_reduced(root, root)
+        assert power(root, m) == w
+
+
 def test_unreduced_inputs_take_the_validating_path():
     with pytest.raises(WordError):
         concat((1,), (0,))
     with pytest.raises(WordError):
         invert((1, 0))
     assert concat((1, 2), (-2, -1)) == EPSILON
+    for build in (
+        lambda: conjugate((1, 0), Word((2,))),
+        lambda: conjugate(Word((1,)), [2, 1.0]),
+        lambda: power([1, 0], 2),
+        lambda: nth_root((0,), 2),
+        lambda: cyclic_split([1, 0, -1]),
+    ):
+        with pytest.raises(WordError):
+            build()
+    assert power([1, 2, -2], 2) == Word((1, 1))
+    assert conjugate([2, -2, 1], (-1,)) == Word((1,))
+    assert nth_root([1, 2, -2, 1], 2) == Word((1,))
+    assert cyclic_split([-1, 2, 1]) == (Word((1,)), Word((2,)))
 
 
 @given(words2)
