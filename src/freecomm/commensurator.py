@@ -27,7 +27,6 @@ from .errors import (
     NotInSubgroupError,
     RankMismatchError,
 )
-from . import words
 from .record import Record
 from .stallings import (
     Subgroup,
@@ -50,9 +49,9 @@ from .stallings import (
 )
 from .words import (
     Word,
-    _letter_limit_error,
     _quoted,
     _require_rank,
+    _substitute,
     apply_hom,
     concat,
     invert,
@@ -106,7 +105,8 @@ class PartialIso(Record):
 
     @cached_property
     def _inverses(self) -> list:
-        """_inverses[i] is the inverse of images[i], once apply has used it."""
+        """_inverses[i] is the inverse of images[i], once apply or a pull-back
+        has used it."""
         return [None] * len(self.images)
 
 
@@ -190,48 +190,12 @@ def identity_iso(h: Subgroup) -> PartialIso:
 def apply(phi: PartialIso, w: Word) -> Word:
     """Image of w (which must lie in the domain) under the map.
 
-    w's path is read once along the domain's table (Subgroup._steps): each
-    off-tree edge it crosses appends its image, or the inverse image when
-    crossed backward.  A Word's path never crosses an edge straight back,
-    so this writes the letters that apply_hom writes for w's basis
-    expression; the images are reduced, so only a seam can cancel.  A word
-    the walk cannot finish, or one past the letter limit, is refused as
-    that pair refuses it: the rank check, membership, then the limit.
-    Input that is not a Word takes that pair, which checks it.
+    w's basis expression (Subgroup.express_in_basis, which checks w as a
+    Word and refuses it for a letter past the rank, then for membership)
+    is mapped through the images, as apply_hom maps it; phi keeps the
+    inverse images it writes, for its later calls.
     """
-    if not isinstance(w, Word):
-        return apply_hom(phi.images, phi.domain.express_in_basis(w))
-    steps, images, inverses = phi.domain._steps, phi.images, phi._inverses
-    limit = words.LETTER_LIMIT
-    out: list[int] = []
-    pos = written = 0
-    for a in w:
-        try:
-            pos, i = steps[pos][a]
-        except KeyError:  # a domain is a cover, so only a letter past the rank is missing
-            break
-        if not i:
-            continue
-        if i > 0:
-            img = images[i - 1]
-        else:
-            img = inverses[-i - 1]
-            if img is None:
-                img = inverses[-i - 1] = invert(images[-i - 1])
-        n = len(img)
-        written += n
-        if written > limit:
-            break
-        k = 0
-        while out and k < n and out[-1] == -img[k]:
-            out.pop()
-            k += 1
-        out.extend(img[k:] if k else img)
-    else:
-        if pos == 0:
-            return tuple.__new__(Word, out)
-    phi.domain.express_in_basis(w)  # raises unless w lies in the domain
-    raise _letter_limit_error(written, len(images))
+    return _substitute(phi.images, phi._inverses, phi.domain.express_in_basis(w))
 
 
 def _pull_back(alpha: PartialIso, k: Subgroup) -> Subgroup:
@@ -262,10 +226,13 @@ def _pull_back(alpha: PartialIso, k: Subgroup) -> Subgroup:
         if g.num_vertices > cap:
             raise _cap_error(too_big(g.num_vertices, cap))
         return alpha.domain
-    adj, trace = g.adj, k.graph.trace
+    adj, trace, inverses = g.adj, k.graph.trace, alpha._inverses
+    for i, img in enumerate(inverses):
+        if img is None:
+            inverses[i] = invert(images[i])
     spell = {}  # off-tree half-edge -> the word its crossing moves a coset along
     for (v, a), i in alpha.domain._tree[1].items():
-        spell[v, a] = images[i - 1] if i > 0 else invert(images[-i - 1])
+        spell[v, a] = images[i - 1] if i > 0 else inverses[-i - 1]
     back = {}  # (w, -a, d) -> c, for each crossing from (v, c) under a to (w, d)
 
     def step(pair):
@@ -285,11 +252,13 @@ def _pull_back(alpha: PartialIso, k: Subgroup) -> Subgroup:
 def invert_iso(phi: PartialIso) -> PartialIso:
     """The inverse map, with basis images recovered by witness folding."""
     express = witness_expresser(phi.rank, phi.images)
+    basis = phi.domain.basis.elements
+    inverses = [None] * len(basis)
     preimages = []
     for c in phi.codomain.basis.elements:
         expr = express(c)
         assert expr is not None, "codomain basis element missed the image fold"
-        preimages.append(apply_hom(phi.domain.basis.elements, expr))
+        preimages.append(_substitute(basis, inverses, expr))
     return _iso(phi.codomain, preimages, phi.domain)
 
 

@@ -469,6 +469,8 @@ class Subgroup(Record):
         return self.graph.rank
 
     def contains(self, w: Word) -> bool:
+        """Whether w lies in this subgroup; w is checked as a Word."""
+        w = w if isinstance(w, Word) else Word(w)
         _require_rank(w, self.rank, "word")
         return self.graph.trace(0, w) == 0
 
@@ -536,26 +538,28 @@ class Subgroup(Record):
     def express_in_basis(self, w: Word) -> Word:
         """Rewrite w (which must lie in this subgroup) over the canonical basis.
 
-        The result v satisfies apply_hom(basis.elements, v) == w.  It lists
-        the off-tree edges that w's path crosses; a reduced path cannot
-        cross one edge back and forth with only tree edges between, so
-        for a Word it is reduced as read.
+        w is checked as a Word.  The result v satisfies
+        apply_hom(basis.elements, v) == w: it lists the off-tree edges that
+        w's path crosses, and a reduced path cannot cross one edge back and
+        forth with only tree edges between, so it is reduced as read.  A
+        path that leaves the graph, or does not end at the basepoint, is
+        refused for a letter past the rank first, then for membership.
         """
-        _require_rank(w, self.rank, "word")
+        w = w if isinstance(w, Word) else Word(w)
         steps = self._steps
         pos: Optional[int] = 0
         letters: list[int] = []
-        for a in w:
-            step = steps[pos].get(a)
-            if step is None:
-                pos = None
-                break
-            pos, i = step
-            if i:
-                letters.append(i)
+        try:
+            for a in w:
+                pos, i = steps[pos][a]
+                if i:
+                    letters.append(i)
+        except KeyError:
+            pos = None
         if pos != 0:
+            _require_rank(w, self.rank, "word")
             raise NotInSubgroupError(f"{_quoted(w)} is not in the subgroup")
-        return tuple.__new__(Word, letters) if isinstance(w, Word) else Word(letters)
+        return tuple.__new__(Word, letters)
 
     def coset_representatives(self) -> tuple[Word, ...]:
         """Spanning-tree transversal words, one per vertex, in canonical order."""

@@ -193,42 +193,62 @@ def nth_root(w: Word, n: int) -> Optional[Word]:
 
 
 # The most letters one word map (apply_hom, or commensurator.apply) may
-# write before reduction.  The benchmark and a rank-2 chain of restricted
+# write: the sum of the lengths of the images it substitutes, before the
+# seams cancel.  The benchmark and a rank-2 chain of restricted
 # automorphisms to index 5,400 write under 9,000 in a call; composing σ^16
 # with itself, for the automorphism σ: a → ab, b → a, writes 5.7 M, and
 # σ^18 with itself 39 M.
 LETTER_LIMIT = 10_000_000
 
 
-def _letter_limit_error(written: int, images: int) -> WorkLimitError:
-    """The error of a word map that wrote more than LETTER_LIMIT letters
-    from a list of `images` images."""
-    return WorkLimitError(
-        f"apply_hom: {written} letters written from {images} images "
-        f"exceed the letter limit ({LETTER_LIMIT})"
-    )
+def _substitute(images: Sequence[Word], inverses: list, letters: Sequence[int]) -> Word:
+    """The word that images[i-1] spells for each letter ±i of letters.
+
+    inverses[i] caches the inverse of images[i] (None until first used), so
+    a caller that keeps the list inverts each image once across its calls.
+    Images are reduced (one that is not a Word is checked as one), so only
+    a seam can cancel.  Raises WorkLimitError once the letters written pass
+    LETTER_LIMIT, read at call time.
+    """
+    limit = LETTER_LIMIT
+    out: list[int] = []
+    written = 0
+    for a in letters:
+        try:
+            img = images[a - 1] if a > 0 else inverses[-a - 1]
+        except IndexError:
+            raise RankMismatchError(
+                f"word uses generator {abs(a)} but only {len(images)} images given"
+            ) from None
+        if img is None:
+            img = inverses[-a - 1] = invert(images[-a - 1])
+        elif not isinstance(img, Word):
+            img = Word(img)
+        n = len(img)
+        written += n
+        if written > limit:
+            raise WorkLimitError(
+                f"apply_hom: {written} letters written from {len(images)} images "
+                f"exceed the letter limit ({limit})"
+            )
+        k = 0
+        while out and k < n and out[-1] == -img[k]:
+            out.pop()
+            k += 1
+        out.extend(img[k:] if k else img)
+    return tuple.__new__(Word, out)
 
 
 def apply_hom(images: Sequence[Word], w: Word) -> Word:
     """Substitute images[i-1] for each letter ±i of w.
 
     This is the homomorphism from the free group whose rank is
-    ``len(images)`` determined by the image list; w is checked as a Word.
-    Raises WorkLimitError once the letters written pass LETTER_LIMIT.
+    ``len(images)`` determined by the image list; w is checked as a Word,
+    and so is each image it uses.  Raises WorkLimitError once the letters
+    written pass LETTER_LIMIT.
     """
     w = w if isinstance(w, Word) else Word(w)
-    out: list[int] = []
-    for a in w:
-        try:
-            img = images[abs(a) - 1]
-        except IndexError:
-            raise RankMismatchError(
-                f"word uses generator {abs(a)} but only {len(images)} images given"
-            ) from None
-        out.extend(img if a > 0 else invert(img))
-        if len(out) > LETTER_LIMIT:
-            raise _letter_limit_error(len(out), len(images))
-    return Word(out)
+    return _substitute(images, [None] * len(images), w)
 
 
 def abelianize(w: Word, rank: int) -> tuple[int, ...]:

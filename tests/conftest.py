@@ -129,10 +129,11 @@ def _outcome(fn, *args):
 
 @pytest.fixture(autouse=True, scope="session")
 def check_iso_apply():
-    """Check every apply against the path it replaced.
+    """Check every apply against the two-table reference.
 
-    apply walks a word once along its domain's table; apply_by_expression
-    writes the word's basis expression and maps it through apply_hom.
+    apply maps the basis expression the domain's table reads; the
+    reference rewrites the word over the basis by its own two tables and
+    reduces the images that expression names as one Word.
     Each call must return the same Word, or raise an exception of the same
     type with the same message.  apply is replaced in every module that
     holds it, the tests' own included, so the CLI's calls and the tests'

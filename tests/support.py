@@ -6,16 +6,20 @@ import heapq
 import math
 import random
 from collections import deque
+from functools import lru_cache
+from itertools import accumulate, chain
 from typing import Iterable, Optional, Sequence
 
 from freecomm import (
     EPSILON,
     CoreGraph,
     IndexCapError,
+    NotInSubgroupError,
     PartialIso,
     RankMismatchError,
     Subgroup,
     Word,
+    WorkLimitError,
     apply,
     apply_hom,
     embed_aut,
@@ -32,8 +36,10 @@ from freecomm import (
     subgroup_from_document,
     whole_group,
     witness_expresser,
+    words,
 )
 from freecomm.stallings import VERTEX_CAP_ENV, vertex_cap
+from freecomm.words import _quoted
 
 
 def random_word(rng: random.Random, rank: int, max_len: int = 8) -> Word:
@@ -485,9 +491,25 @@ def join_by_wedge(h: Subgroup, k: Subgroup) -> Subgroup:
 
 
 def apply_by_expression(phi: PartialIso, w: Word) -> Word:
-    """apply as it was before it read the domain's table: w's basis
-    expression, mapped through apply_hom."""
-    return apply_hom(phi.images, phi.domain.express_in_basis(w))
+    """apply by the two-table rewrite: w is checked as a Word and refused
+    for a letter past the rank, then for membership, then for the letter
+    limit; otherwise the images its basis expression names are laid end to
+    end and reduced as one Word."""
+    w = Word(w)
+    if max(map(abs, w), default=0) > phi.rank:
+        raise RankMismatchError(f"word {_quoted(w)} exceeds rank {phi.rank}")
+    expr = express_in_basis_by_two_tables(phi.domain.graph, w)
+    if expr is None:
+        raise NotInSubgroupError(f"{_quoted(w)} is not in the subgroup")
+    pieces = [phi.images[i - 1] if i > 0 else invert(phi.images[-i - 1]) for i in expr]
+    limit = words.LETTER_LIMIT
+    for written in accumulate(map(len, pieces)):
+        if written > limit:
+            raise WorkLimitError(
+                f"apply_hom: {written} letters written from {len(phi.images)} images "
+                f"exceed the letter limit ({limit})"
+            )
+    return Word(chain.from_iterable(pieces))
 
 
 def image_subgroup(phi: PartialIso, k: Subgroup) -> Subgroup:
@@ -628,10 +650,17 @@ def basis_by_two_tables(graph: CoreGraph) -> tuple[Word, ...]:
     return tuple(concat(concat(paths[u], Word((l,))), invert(paths[v])) for u, l, v in off)
 
 
+@lru_cache(maxsize=64)
+def _rewrite_tables(graph: CoreGraph) -> tuple[dict, dict, dict]:
+    """The two tables of a graph and the number of each edge off its tree,
+    kept for the graphs of the last maps applied."""
+    out, inc = _two_tables(graph.edges)
+    return out, inc, {e: i for i, e in enumerate(tree_by_two_tables(graph)[2])}
+
+
 def express_in_basis_by_two_tables(graph: CoreGraph, w: Word) -> Optional[Word]:
     """Reference rewrite of w over the canonical basis; None when w is not a member."""
-    out, inc = _two_tables(graph.edges)
-    index = {e: i for i, e in enumerate(tree_by_two_tables(graph)[2])}
+    out, inc, index = _rewrite_tables(graph)
     pos = 0
     letters = []
     for a in w:

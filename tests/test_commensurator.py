@@ -13,6 +13,7 @@ from freecomm import (
     PartialIso,
     RankMismatchError,
     Word,
+    WordError,
     WorkLimitError,
     apply,
     apply_hom,
@@ -173,6 +174,55 @@ def test_apply_checks_rank_and_membership_before_the_letter_limit(monkeypatch):
         apply(swap, parse_word("bbbbA"))
     with pytest.raises(RankMismatchError, match=r"^word 'bbbbc' exceeds rank 2$"):
         apply(swap, parse_word("bbbbc"))
+
+
+def test_apply_checks_plain_sequences_as_words():
+    # a float letter equal to 1 is not the letter a, and 0 is no letter
+    phi = identity_iso(kernel_mod_p(2, (1, 0), 3))
+    for letters in ([1.0], (0,), [1.0, 1.0, 1.0]):
+        with pytest.raises(WordError):
+            apply(phi, letters)
+    assert apply(phi, [1, 1, 1]) == parse_word("aaa")
+
+
+@given(seeds, st.data())
+@settings(deadline=None, max_examples=50)
+def test_apply_and_apply_hom_share_the_letter_limit(seed, data):
+    # at, just under and just over the letters written, the map of a word
+    # and the map of its basis expression return, or fail, alike
+    phi = random_restriction_iso(random.Random(seed), 2)
+    basis = phi.domain.basis.elements
+    signed = [i for k in range(1, len(basis) + 1) for i in (k, -k)]
+    expr = data.draw(st.lists(st.sampled_from(signed), max_size=6).map(Word).filter(len))
+    w = apply_hom(basis, expr)
+    written = sum(len(phi.images[abs(i) - 1]) for i in expr)
+    for limit in (written - 1, written, written + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(words, "LETTER_LIMIT", limit)
+            got = _outcome(apply, phi, w)
+            assert got == _outcome(apply_hom, phi.images, expr)
+        assert (got[0] is WorkLimitError) == (limit < written), got
+
+
+def test_one_map_inverts_each_image_once(monkeypatch):
+    # the pull-back fills the map's inverse images, and apply reads them
+    phi = random_restriction_iso(random.Random(3), 2)
+    inverse_basis = [b.inverse() for b in phi.domain.basis.elements]
+    k = intersect(phi.codomain, kernel_mod_p(2, (1, 1), 2))
+    assert k != phi.codomain
+    inverted = []
+
+    def counted(w):
+        inverted.append(w)
+        return Word(-a for a in reversed(w))
+
+    monkeypatch.setattr(words, "invert", counted)
+    monkeypatch.setattr(commensurator, "invert", counted)
+    for _ in range(2):
+        commensurator._pull_back(phi, k)
+        for b in inverse_basis:
+            apply(phi, b)
+    assert sorted(inverted) == sorted(phi.images)
 
 
 def test_invert_examples():

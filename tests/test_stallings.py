@@ -15,6 +15,7 @@ from freecomm import (
     NotInSubgroupError,
     Subgroup,
     Word,
+    WordError,
     apply_hom,
     bs_image_index,
     bs_report,
@@ -85,6 +86,15 @@ def test_contains_examples():
     k = kernel_mod_p(2, (1, 0), 3)
     assert k.contains(parse_word("Aba"))
     assert not k.contains(parse_word("a"))
+
+
+def test_contains_checks_plain_sequences_as_words():
+    # a float or bool letter equal to 1 is not the letter a, and 0 is no letter
+    k = kernel_mod_p(2, (1, 0), 3)
+    for letters in ([1.0] * 3, [True] * 3, (0,)):
+        with pytest.raises(WordError):
+            k.contains(letters)
+    assert k.contains([1, 2, -2, 1, 1])
 
 
 def test_index_examples():

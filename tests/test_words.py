@@ -1,6 +1,7 @@
 """Word arithmetic: reduction, powers, roots, homomorphisms, abelianization."""
 
 import time
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -216,6 +217,34 @@ def test_plain_sequences_are_checked_as_words():
         abelianize((0,), 2)
     assert apply_hom([Word((1,)), Word((2,))], [1, 2, -2]) == Word((1,))
     assert abelianize([1, 2, -2, 1], 2) == (2, 0)
+
+
+def test_apply_hom_cancels_across_several_seams():
+    # c's image bBBA, a plain tuple, reduces to BA and cancels the images of a and b
+    images = [parse_word("a"), parse_word("b"), (2, -2, -2, -1)]
+    assert apply_hom(images, parse_word("abc")) == EPSILON
+    assert apply_hom(images, parse_word("abcb")) == parse_word("b")
+    assert apply_hom(images, parse_word("Cab")) == parse_word("abab")
+
+
+def _laid_end_to_end(images, w) -> Word:
+    """The images w names, inverted for a negative letter, reduced as one Word."""
+    pieces = (
+        tuple(images[a - 1]) if a > 0 else tuple(-b for b in reversed(images[-a - 1]))
+        for a in Word(w)
+    )
+    return Word(chain.from_iterable(pieces))
+
+
+@given(st.lists(st.lists(letters2, max_size=4), min_size=1, max_size=3), st.data())
+def test_apply_hom_matches_the_images_laid_end_to_end(raw, data):
+    # short images over two letters, some plain tuples that are not reduced,
+    # make a word's images cancel across several seams
+    images = [data.draw(st.sampled_from([tuple, Word]))(img) for img in raw]
+    signed = [i for k in range(1, len(images) + 1) for i in (k, -k)]
+    w = data.draw(st.sampled_from([list, Word]))(data.draw(st.lists(st.sampled_from(signed), max_size=10)))
+    got = apply_hom(images, w)
+    assert type(got) is Word and got == _laid_end_to_end(images, w)
 
 
 @given(words2, words2)
