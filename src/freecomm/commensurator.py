@@ -32,7 +32,6 @@ from .stallings import (
     Subgroup,
     _cap_error,
     _component,
-    _is_int,
     _require_same_rank,
     from_generators,
     graph_from_document,
@@ -49,6 +48,7 @@ from .stallings import (
 )
 from .words import (
     Word,
+    _is_int,
     _quoted,
     _require_rank,
     _substitute,
@@ -226,22 +226,19 @@ def _pull_back(alpha: PartialIso, k: Subgroup) -> Subgroup:
         if g.num_vertices > cap:
             raise _cap_error(too_big(g.num_vertices, cap))
         return alpha.domain
-    adj, trace, inverses = g.adj, k.graph.trace, alpha._inverses
+    steps, trace, inverses = alpha.domain._tree[1], k.graph.trace, alpha._inverses
     for i, img in enumerate(inverses):
         if img is None:
             inverses[i] = invert(images[i])
-    spell = {}  # off-tree half-edge -> the word its crossing moves a coset along
-    for (v, a), i in alpha.domain._tree[1].items():
-        spell[v, a] = images[i - 1] if i > 0 else inverses[-i - 1]
     back = {}  # (w, -a, d) -> c, for each crossing from (v, c) under a to (w, d)
 
     def step(pair):
         v, c = pair
         row = {}
-        for a, w in adj[v].items():
+        for a, (w, i) in steps[v].items():
             d = back.pop((v, a, c), None)
             if d is None:
-                d = trace(c, spell[v, a]) if (v, a) in spell else c
+                d = trace(c, images[i - 1] if i > 0 else inverses[-i - 1]) if i else c
                 back[w, -a, d] = c
             row[a] = (w, d)
         return row

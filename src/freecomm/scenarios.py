@@ -362,11 +362,11 @@ def bs_image_index(k: int, p: int) -> int:
     """
     if abs(k) < 2:
         raise ValueError(f"|k| must be at least 2, got {k}")
+    _require_modulus_under_cap("bs_image_index", p)
     if p < 2:
         raise ValueError(f"p must be at least 2, got {p}")
     if math.gcd(p, k) != 1:
         raise ValueError(f"p={p} shares a factor with k={k}; the index is not defined here")
-    _require_modulus_under_cap("bs_image_index", p)
     return len(_walk(0, lambda r: {1: (r + 1) % p, 2: r * k % p})[0])
 
 

@@ -20,7 +20,9 @@ states in canonical order and its rows are the table.  Only a graph with
 hanging trees is pruned and walked once more.  It is the package's one
 search: the block systems of a cover are its states too.  As the table
 is canonical, one pass over it, row by row, gives the spanning tree and
-the off-tree edges that index the free basis.
+the crossing table: the same table, with each half marked by the
+off-tree edge it crosses.  The free basis, basis expressions and the
+pull-back of a map read it.
 
 Finite index corresponds to the graph being a cover (every vertex has
 all 2·rank letters); the index is then the vertex count.  Graph
@@ -55,7 +57,7 @@ from .errors import (
     RankMismatchError,
 )
 from .record import Record
-from .words import EPSILON, Word, _quoted, _require_rank, concat, conjugate, invert
+from .words import EPSILON, Word, _is_int, _quoted, _require_rank, concat, conjugate, invert
 
 __all__ = [
     "Basis",
@@ -107,10 +109,21 @@ def _cap_error(what: str) -> IndexCapError:
 
 
 def _require_modulus_under_cap(op: str, p: int) -> None:
-    """A modulus p asks for p cosets, so it is held to the vertex cap."""
+    """A modulus p asks for p cosets, so it is held to the vertex cap; one
+    that is not an int is refused before any arithmetic."""
+    if not _is_int(p):
+        raise ValueError(f"{op}: modulus must be an int, got {p!r}")
     cap = vertex_cap()
     if p > cap:
         raise _cap_error(f"{op}: modulus {p} exceeds the vertex cap ({cap})")
+
+
+def _require_ambient_rank(rank: int) -> None:
+    """The ambient rank of a graph built from scratch: an int, at least 1."""
+    if not _is_int(rank):
+        raise ValueError(f"rank must be an int, got {rank!r}")
+    if rank < 1:
+        raise ValueError(f"rank must be >= 1, got {rank}")
 
 
 def _is_prime(n: int) -> bool:
@@ -480,19 +493,24 @@ class Subgroup(Record):
 
     @cached_property
     def _tree(self):
-        """(paths, index), read in one pass over the canonical table.
+        """(paths, steps), read in one pass over the canonical table.
 
         paths[v] is the base-to-v word along the edge by which the walk
         found v: the table is canonical, so that edge is the half where v
-        first appears, row by row.  index maps each half-edge (vertex,
-        signed letter) off the spanning tree to ±i, for the i-th off-tree
-        edge in sorted order.  A half (u, a) with a > 0 is off the tree
-        unless it finds a new vertex or leads back along u's tree edge.
+        first appears, row by row.  steps[v][a] = (w, i): the signed letter
+        a leads from v to w, across the i-th off-tree edge (backward when
+        i < 0), or along the tree when i = 0, in the table's scan order.
+        A half (u, a) with a > 0 is off the tree unless it finds a new
+        vertex or leads back along u's tree edge; numbered row by row, the
+        off-tree edges are in sorted order.  The edges a path crosses spell
+        its word over the basis (Stallings 1983).
         """
+        adj = self.graph.adj
         paths: list[Word] = [EPSILON]
         back = [None]  # back[v] = the letter from v back along its tree edge
-        index: dict = {}
-        for u, row in enumerate(self.graph.adj):
+        steps = [{a: (v, 0) for a, v in row.items()} for row in adj]
+        i = 0
+        for u, row in enumerate(adj):
             assert u < len(paths), "graph not in canonical form"
             for a, v in row.items():
                 if v >= len(paths):
@@ -501,10 +519,10 @@ class Subgroup(Record):
                     paths.append(tuple.__new__(Word, paths[u] + (a,)))
                     back.append(-a)
                 elif a > 0 and a != back[u]:
-                    i = len(index) // 2 + 1
-                    index[u, a] = i
-                    index[v, -a] = -i
-        return tuple(paths), index
+                    i += 1  # rewriting a key keeps its place in the row
+                    steps[u][a] = (v, i)
+                    steps[v][-a] = (u, -i)
+        return tuple(paths), tuple(steps)
 
     @cached_property
     def basis(self) -> Basis:
@@ -514,26 +532,14 @@ class Subgroup(Record):
         and the tree path back from v.  Neither seam can cancel, as the
         edge would then be the tree edge at u or at v, so it is reduced.
         """
-        paths = self._tree[0]
-        g = self.graph
+        paths, steps = self._tree
         elements = tuple(
-            tuple.__new__(Word, paths[u] + (l,) + invert(paths[g.adj[u][l]]))
-            for (u, l), i in self._tree[1].items()
+            tuple.__new__(Word, paths[u] + (l,) + invert(paths[v]))
+            for u, row in enumerate(steps)
+            for l, (v, i) in row.items()
             if i > 0
         )
         return Basis(elements=elements)
-
-    @cached_property
-    def _steps(self) -> tuple[dict, ...]:
-        """_steps[v][a] = (w, i): the signed letter a leads from v to w, across
-        the i-th off-tree edge (backward when i < 0), or along the tree when
-        i = 0.  A path reads one entry a letter, and the edges it crosses
-        spell its word over the basis (Stallings 1983)."""
-        index = self._tree[1]
-        return tuple(
-            {a: (w, index.get((v, a), 0)) for a, w in row.items()}
-            for v, row in enumerate(self.graph.adj)
-        )
 
     def express_in_basis(self, w: Word) -> Word:
         """Rewrite w (which must lie in this subgroup) over the canonical basis.
@@ -546,7 +552,7 @@ class Subgroup(Record):
         refused for a letter past the rank first, then for membership.
         """
         w = w if isinstance(w, Word) else Word(w)
-        steps = self._steps
+        steps = self._tree[1]
         pos: Optional[int] = 0
         letters: list[int] = []
         try:
@@ -570,15 +576,13 @@ class Subgroup(Record):
 
 def whole_group(rank: int) -> Subgroup:
     """The full free group as a subgroup of itself (a one-vertex rose)."""
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
+    _require_ambient_rank(rank)
     return Subgroup(CoreGraph(rank=rank, edges=tuple((0, l, 0) for l in range(1, rank + 1))))
 
 
 def from_generators(rank: int, gens: Iterable[Word]) -> Subgroup:
     """Fold the given words into the core graph of the subgroup they generate."""
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
+    _require_ambient_rank(rank)
     gens = [g if isinstance(g, Word) else Word(g) for g in gens]
     return _component(rank, *_build_bouquet(rank, gens, witness=False).root_table(0))
 
@@ -690,12 +694,15 @@ def kernel_mod_p(rank: int, weights: Sequence[int], p: int) -> Subgroup:
     r -> r + weights[i-1]; the walk from 0 numbers its component, the
     kernel's core graph.
     """
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
+    _require_ambient_rank(rank)
+    if not _is_int(p):
+        raise ValueError(f"modulus must be an int, got {p!r}")
     if p < 2:
         raise ValueError(f"modulus must be >= 2, got {p}")
     if len(weights) != rank:
         raise RankMismatchError(f"expected {rank} weights, got {len(weights)}")
+    if not all(map(_is_int, weights)):
+        raise ValueError(f"weights must be ints, got {list(weights)!r}")
     if all(w % p == 0 for w in weights):
         raise ValueError("all weights vanish mod p; the kernel is the whole group")
     _require_modulus_under_cap("kernel_mod_p", p)
@@ -827,11 +834,6 @@ def graph_to_document(g: CoreGraph) -> dict:
         "basepoint": 0,
         "edges": [[u, v, l] for u, l, v in g.edges],
     }
-
-
-def _is_int(x) -> bool:
-    """An int and not a bool: JSON true and false load as bools, which are ints."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def graph_from_document(doc) -> CoreGraph:

@@ -99,6 +99,11 @@ def max_generator(w: Sequence[int]) -> int:
     return max(map(abs, w), default=0)
 
 
+def _is_int(x) -> bool:
+    """An int and not a bool: JSON true and false load as bools, which are ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _require_rank(w: Sequence[int], rank: int, noun: str) -> None:
     """Reject w if it uses a generator past rank; noun names w in the error."""
     if max_generator(w) > rank:
@@ -142,12 +147,21 @@ def cyclic_split(w: Word) -> tuple[Word, Word]:
 
 
 def power(w: Word, n: int) -> Word:
-    """w**n for any integer n, computed via the cyclically reduced core."""
+    """w**n for any int n, computed via the cyclically reduced core.
+
+    A result longer than LETTER_LIMIT, read at call time, raises
+    WorkLimitError before it is built.
+    """
+    if not _is_int(n):
+        raise WordError(f"exponent must be an int, got {n!r}")
     if n == 0 or not w:
         return EPSILON
     if n < 0:
         return power(invert(w), -n)
     u, c = cyclic_split(w)
+    letters, limit = 2 * len(u) + n * len(c), LETTER_LIMIT
+    if letters > limit:
+        raise WorkLimitError(f"power: {letters} letters exceed the letter limit ({limit})")
     return _around(u, tuple(c) * n, w)
 
 
@@ -176,6 +190,8 @@ def nth_root(w: Word, n: int) -> Optional[Word]:
     >>> nth_root(parse_word("Ababaa"), 2)
     Word('Abaa')
     """
+    if not _is_int(n):
+        raise WordError(f"root exponent must be an int, got {n!r}")
     if n < 1:
         raise WordError(f"root exponent must be >= 1, got {n}")
     if not w:

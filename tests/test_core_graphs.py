@@ -79,8 +79,16 @@ def check(rng, rank, base, edges, labels):
     assert _graph(rank, rows) == canonical_by_two_tables(rank, base, edges)
     h = _component(rank, base, table.__getitem__)
     assert h.graph == make_subgroup_by_edge_sets(rank, base, edges)
-    paths, _, _ = tree_by_two_tables(h.graph)
+    paths, tree, off_tree = tree_by_two_tables(h.graph)
     assert h.basis.elements == basis_by_two_tables(h.graph)
+    # the crossing table: the halves of the i-th off-tree edge carry i and -i, a tree half 0
+    number = {e: i for i, e in enumerate(off_tree, start=1)}
+    for u, row in enumerate(h._tree[1]):
+        assert list(row) == list(h.graph.adj[u])
+        for a, (v, i) in row.items():
+            assert v == h.graph.adj[u][a]
+            edge = (u, a, v) if a > 0 else (v, -a, u)
+            assert i == (0 if edge in tree else number[edge] if a > 0 else -number[edge])
     if h.graph.is_cover():
         assert h.coset_representatives() == tuple(paths[v] for v in range(len(paths)))
     else:

@@ -67,6 +67,20 @@ def test_kernel_swap_validates_parameters():
         kernel_swap(2, 4)
 
 
+def test_scenarios_refuse_a_modulus_that_is_not_an_int():
+    # each once raised a bare TypeError from math.isqrt or math.gcd
+    runs = {
+        "kernel_swap": lambda p: kernel_swap(2, p),
+        "free_product_twist": lambda p: free_product_twist(2, p),
+        "bs_report": lambda p: bs_report(2, p),
+        "bs_image_index": lambda p: bs_image_index(2, p),
+    }
+    for op, run in runs.items():
+        for p in (3.0, True):
+            with pytest.raises(ValueError, match=rf"^{op}: modulus must be an int, got {p!r}$"):
+                run(p)
+
+
 def test_kernel_swap_objects_revalidate():
     report = kernel_swap(2, 3)
     kernel = subgroup_from_document(report.objects["kernel"])

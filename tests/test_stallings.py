@@ -224,6 +224,32 @@ def test_kernel_mod_p_rejects_trivial_map():
         kernel_mod_p(2, (2, 4), 2)
 
 
+def test_kernel_mod_p_refuses_a_modulus_or_weight_that_is_not_an_int():
+    # a float modulus once gave index 7, and a float weight a 2-vertex graph
+    for p in (3.5, 3.0, True, "3"):
+        with pytest.raises(ValueError, match=r"^modulus must be an int, got "):
+            kernel_mod_p(2, (1, 0), p)
+    for weights in ((1.5, 0), (1, 0.0), (True, 0)):
+        with pytest.raises(ValueError, match=r"^weights must be ints, got "):
+            kernel_mod_p(2, weights, 3)
+    with pytest.raises(ValueError, match=r"^modulus must be >= 2, got 1$"):
+        kernel_mod_p(2, (1, 0), 1)
+
+
+def test_constructions_refuse_a_rank_that_is_not_an_int():
+    builds = (
+        whole_group,
+        lambda rank: from_generators(rank, [Word((1,))]),
+        lambda rank: kernel_mod_p(rank, (1,), 3),
+    )
+    for build in builds:
+        for rank in (True, 1.0, "1"):
+            with pytest.raises(ValueError, match=r"^rank must be an int, got "):
+                build(rank)
+        with pytest.raises(ValueError, match=r"^rank must be >= 1, got 0$"):
+            build(0)
+
+
 def test_kernel_mod_p_imperfect_image():
     # weights generating a proper subgroup of Z/4: index is the image size
     k = kernel_mod_p(2, (2, 0), 4)

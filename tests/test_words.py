@@ -184,6 +184,38 @@ def test_cyclic_split_of_a_long_stem_is_linear():
     assert nth_root(w, 3) is None  # the core b has length 1
     assert time.perf_counter() - start < 1
 
+
+def test_power_holds_its_letters_to_the_limit(monkeypatch):
+    # Bab splits as b⁻¹·a·b, so its n-th power has 2 + n letters
+    w = parse_word("Bab")
+    monkeypatch.setattr(words, "LETTER_LIMIT", 8)
+    assert power(w, 6) == parse_word("Baaaaaab")
+    assert power(w, -6) == parse_word("BAAAAAAb")
+    for n in (7, -7):
+        with pytest.raises(WorkLimitError, match=r"^power: 9 letters exceed the letter limit \(8\)$"):
+            power(w, n)
+
+
+def test_power_refuses_a_huge_exponent_before_building():
+    start = time.perf_counter()
+    with pytest.raises(WorkLimitError, match=r"^power: 1000000000000 letters exceed"):
+        power(parse_word("a"), 10 ** 12)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_exponents_must_be_ints():
+    w = parse_word("ab")
+    for n in (2.0, True):
+        with pytest.raises(WordError, match=r"^exponent must be an int"):
+            power(w, n)
+        with pytest.raises(WordError, match=r"^exponent must be an int"):
+            w ** n
+        with pytest.raises(WordError, match=r"^root exponent must be an int"):
+            nth_root(w, n)
+    with pytest.raises(WordError, match=r"^root exponent must be >= 1, got 0$"):
+        nth_root(w, 0)
+
+
 def test_apply_hom_examples():
     x, y = parse_word("a"), parse_word("b")
     assert apply_hom([x, x], parse_word("ab")) == parse_word("aa")
