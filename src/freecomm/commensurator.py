@@ -125,32 +125,42 @@ def make_iso(domain: Subgroup, codomain: Subgroup, images: Sequence[Word]) -> Pa
     subgroup of the codomain, and rank mismatches between the two sides
     (a rank-preserving surjection between free groups of equal finite
     rank is an isomorphism, so these checks certify bijectivity).
+
+    Each image is expressed over the codomain's basis by the walk that
+    tests its membership.  The basis makes the codomain a free group F_m,
+    so the images generate it exactly when the expressions, never longer
+    than the images, fold to the whole of F_m.
     """
     _require_same_rank(domain, codomain)
     _require_finite_index(domain)
     _require_finite_index(codomain)
     images = tuple(Word(w) for w in images)
-    dom_basis = domain.basis.elements
-    if len(images) != len(dom_basis):
+    n = _free_rank(domain)
+    if len(images) != n:
         raise InvalidIsoError(
-            f"expected {len(dom_basis)} images (one per domain basis element), "
+            f"expected {n} images (one per domain basis element), "
             f"got {len(images)}"
         )
+    expressions = []
     for w in images:
-        if not codomain.contains(w):
-            raise InvalidIsoError(
-                f"image {_quoted(w)} lies outside the codomain"
-            )
-    folded = from_generators(domain.rank, images)
-    if folded != codomain:
+        try:
+            expressions.append(codomain.express_in_basis(w))
+        except NotInSubgroupError:
+            raise InvalidIsoError(f"image {_quoted(w)} lies outside the codomain") from None
+    m = _free_rank(codomain)
+    if from_generators(m, expressions) != whole_group(m):
         raise InvalidIsoError("images generate a proper subgroup of the codomain")
-    _require_equal_rank(len(dom_basis), codomain)
+    _require_equal_rank(n, codomain)
     return PartialIso(domain=domain, codomain=codomain, images=images)
 
 
+def _free_rank(h: Subgroup) -> int:
+    """The rank of h as a free group: the edges off a spanning tree."""
+    return len(h.graph.edges) - h.graph.num_vertices + 1
+
+
 def _require_equal_rank(m: int, codomain: Subgroup) -> None:
-    g = codomain.graph
-    r = len(g.edges) - g.num_vertices + 1  # edges off a spanning tree
+    r = _free_rank(codomain)
     if m != r:
         raise InvalidIsoError(
             f"rank drop: domain has rank {m} but codomain has rank {r}; "
@@ -404,8 +414,10 @@ def compute_extension(phi: PartialIso) -> Union[tuple[Word, ...], NoExtension]:
     domain is mapped through phi and an m-th root extracted; unique
     roots make the candidate image forced, so failure of any root, or
     of the validation of the assembled candidate, certifies that no
-    extension exists.  Returns the generator images of the unique
-    extension, or a NoExtension certificate.
+    extension exists.  The candidate is compared with the map on the
+    domain's basis, read off the spanning tree (Subgroup._hom_on_basis),
+    up to the first element where they differ.  Returns the generator
+    images of the unique extension, or a NoExtension certificate.
     """
     if phi.domain.index() is math.inf or phi.codomain.index() is math.inf:
         raise InvalidIsoError("extension analysis needs finite index on both sides")
@@ -434,8 +446,9 @@ def compute_extension(phi: PartialIso) -> Union[tuple[Word, ...], NoExtension]:
         return NoExtension(
             reason="the forced candidate images do not generate the whole group"
         )
-    for b, img in zip(phi.domain.basis.elements, phi.images):
-        if apply_hom(candidates, b) != img:
+    extended = phi.domain._hom_on_basis(candidates)
+    for b, img, got in zip(phi.domain.basis.elements, phi.images, extended):
+        if got != img:
             return NoExtension(
                 reason="the forced candidate automorphism does not agree with "
                 f"the map on {_quoted(b)}"
@@ -512,11 +525,8 @@ def transfer_to_subgroup(alpha: PartialIso, h: Subgroup) -> PartialIso:
     _require_same_rank(h, alpha)
     if h.index() is math.inf:
         raise InvalidIsoError("transfer needs a finite-index subgroup")
-    h_basis = h.basis.elements
     dom = rewrite_over_basis(h, intersect(_pull_back(alpha, intersect(alpha.codomain, h)), h))
-    images = [
-        h.express_in_basis(apply(alpha, apply_hom(h_basis, c))) for c in dom.basis.elements
-    ]
+    images = [h.express_in_basis(apply(alpha, w)) for w in dom._hom_on_basis(h.basis.elements)]
     return _iso(dom, images)
 
 
@@ -533,8 +543,7 @@ def transfer_to_overgroup(beta: PartialIso, h: Subgroup) -> PartialIso:
             f"the map is over rank {beta.rank} but H has basis size {len(h_basis)}"
         )
     _require_finite_index(h)
-    lifted = [apply_hom(h_basis, d) for d in beta.domain.basis.elements]
-    dom = from_generators(h.rank, lifted)
+    dom = from_generators(h.rank, beta.domain._hom_on_basis(h_basis))
     images = []
     for b in dom.basis.elements:
         d = h.express_in_basis(b)

@@ -41,6 +41,7 @@ from .stallings import (
 )
 from .words import (
     Word,
+    _is_int,
     conjugate,
     imprimitivity_certificate,
     power,
@@ -76,6 +77,14 @@ def _require_work_under_limit(op: str, asked: str, count: int) -> None:
         raise WorkLimitError(f"{op}: {asked} exceed the work limit ({WORK_LIMIT})")
 
 
+def _require_ints(op: str, **values) -> None:
+    """Refuse a count or parameter that is not an int, or is a bool, before
+    any arithmetic reads it."""
+    for name, value in values.items():
+        if not _is_int(value):
+            raise ValueError(f"{op}: {name} must be an int, got {value!r}")
+
+
 def _require_prime(op: str, p: int) -> None:
     """The modulus guard of the scenarios: p is held to the vertex cap first,
     which bounds the work it asks for, the primality test's included."""
@@ -84,14 +93,17 @@ def _require_prime(op: str, p: int) -> None:
         raise ValueError(f"expected a prime, got {p}")
 
 
-def _swap_kernel(op: str, rank: int, p: int, extra_letters: int = 0):
+def _swap_kernel(op: str, rank: int, p: int, twist_letters: int = 0):
     """The Z/p kernel on the first generator that kernel_swap and
     free_product_twist start from.  Its basis, about (rank - 1)·p² letters,
-    and the scenario's extra letters are held to the letter limit first."""
+    and the twist_letters that each of its (rank - 1)·(p - 1) twisted
+    images gains are held to the letter limit first."""
+    _require_ints(op, rank=rank)
     if rank < 2:
         raise ValueError(f"rank must be at least 2, got {rank}")
     _require_prime(op, p)
-    letters, limit = (rank - 1) * p * p + extra_letters, words.LETTER_LIMIT
+    letters = (rank - 1) * p * p + (rank - 1) * (p - 1) * twist_letters
+    limit = words.LETTER_LIMIT
     if letters > limit:
         raise WorkLimitError(f"{op}: {letters} letters exceed the letter limit ({limit})")
     return kernel_mod_p(rank, (1,) + (0,) * (rank - 1), p)
@@ -242,8 +254,8 @@ def free_product_twist(rank: int, p: int, b: Optional[Word] = None) -> ScenarioR
     """
     if b is None:
         b = Word((2,))
-    # each of the (rank - 1)·(p - 1) twisted images gains b and its inverse
-    h = _swap_kernel("free_product_twist", rank, p, 2 * (rank - 1) * (p - 1) * len(b))
+    # each twisted image gains b and its inverse
+    h = _swap_kernel("free_product_twist", rank, p, 2 * len(b))
     a_sub = from_generators(rank, [Word((1,))])
     b_sub = from_generators(rank, [Word((j,)) for j in range(2, rank + 1)])
     if not (b_sub.contains(b) and h.contains(b) and len(b) > 0):
@@ -313,6 +325,7 @@ class BSElement(Record):
 
 def bs_element(num: int, denom_exp: int, texp: int, k: int) -> BSElement:
     """Normalizing constructor; accepts negative denom_exp as k-powers."""
+    _require_ints("bs_element", k=k)
     if abs(k) < 2:
         raise ValueError(f"|k| must be at least 2, got {k}")
     if denom_exp < 0:
@@ -360,6 +373,7 @@ def bs_image_index(k: int, p: int) -> int:
     k-action invertible mod p.  The walk visits all p residues, so p is
     held to the vertex cap.
     """
+    _require_ints("bs_image_index", k=k)
     if abs(k) < 2:
         raise ValueError(f"|k| must be at least 2, got {k}")
     _require_modulus_under_cap("bs_image_index", p)
@@ -377,6 +391,7 @@ def _bs_sample(rng: random.Random, k: int) -> BSElement:
 def bs_report(k: int, p: int, samples: int = 1000, seed: int = 0) -> ScenarioReport:
     """Exact checks of the BS(1,k) arithmetic and the index-p self-embedding,
     on 1 to WORK_LIMIT random samples."""
+    _require_ints("bs_report", k=k, samples=samples)
     if abs(k) < 2:
         raise ValueError(f"|k| must be at least 2, got {k}")
     if samples < 1:
@@ -441,6 +456,7 @@ def hnn_obstruction(n: int, bound: int) -> list[tuple[int, int]]:
     only at l = -r = ±1; for equal signs all n terms are positive, so the
     sum is at least n.
     """
+    _require_ints("hnn_obstruction", n=n, bound=bound)
     if n < 3:
         raise ValueError(f"n must be at least 3, got {n}")
     if bound < 1:

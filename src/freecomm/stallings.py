@@ -21,8 +21,8 @@ hanging trees is pruned and walked once more.  It is the package's one
 search: the block systems of a cover are its states too.  As the table
 is canonical, one pass over it, row by row, gives the spanning tree and
 the crossing table: the same table, with each half marked by the
-off-tree edge it crosses.  The free basis, basis expressions and the
-pull-back of a map read it.
+off-tree edge it crosses.  The free basis, basis expressions, the
+pull-back of a map and the tree potentials that map the basis read it.
 
 Finite index corresponds to the graph being a cover (every vertex has
 all 2·rank letters); the index is then the vertex count.  Graph
@@ -57,7 +57,9 @@ from .errors import (
     RankMismatchError,
 )
 from .record import Record
-from .words import EPSILON, Word, _is_int, _quoted, _require_rank, concat, conjugate, invert
+from .words import (
+    EPSILON, Word, _is_int, _product, _quoted, _require_rank, concat, conjugate, invert
+)
 
 __all__ = [
     "Basis",
@@ -540,6 +542,41 @@ class Subgroup(Record):
             if i > 0
         )
         return Basis(elements=elements)
+
+    def _hom_on_basis(self, images: Sequence[Word]):
+        """Yield apply_hom(images, b) for each basis element b, in basis order.
+
+        images holds one Word per generator.  The potential P(v), the image
+        of v's tree path, is built once per vertex as P(parent)·image(a),
+        and so is its inverse; the element across the off-tree edge
+        u -l-> v maps to P(u)·image(l)·P(v)⁻¹.  Each word is a few tuple
+        concatenations, held to the letter limit by the letters of its
+        pieces (_product).  P(v) is read only in row v, and P(v)⁻¹ up to
+        the last row with an off-tree edge into v, so each is dropped then.
+        """
+        steps = self._tree[1]
+        last = list(range(len(steps)))
+        for u, row in enumerate(steps):
+            for v, i in row.values():
+                if i > 0:
+                    last[v] = max(last[v], u)
+        dropped_after = [[] for _ in steps]
+        for v, u in enumerate(last):
+            dropped_after[u].append(v)
+        inverses = [invert(w) for w in images]
+        potentials, back = [EPSILON], [EPSILON]  # P(v) and P(v)⁻¹
+        for u, row in enumerate(steps):
+            for a, (v, i) in row.items():
+                if v == len(potentials):  # the tree edge that finds v
+                    image = images[a - 1] if a > 0 else inverses[-a - 1]
+                    inverse = inverses[a - 1] if a > 0 else images[-a - 1]
+                    potentials.append(_product(images, potentials[u], image))
+                    back.append(_product(images, inverse, back[u]))
+                elif i > 0:
+                    yield _product(images, potentials[u], images[a - 1], back[v])
+            potentials[u] = None
+            for v in dropped_after[u]:
+                back[v] = None
 
     def express_in_basis(self, w: Word) -> Word:
         """Rewrite w (which must lie in this subgroup) over the canonical basis.

@@ -126,7 +126,7 @@ def concat(u: Word, v: Word) -> Word:
     m = min(len(u), len(v))
     while k < m and u[-1 - k] == -v[k]:
         k += 1
-    return tuple.__new__(Word, u[: len(u) - k] + v[k:])
+    return tuple.__new__(Word, u[: len(u) - k] + v[k:] if k else u + v)
 
 
 def invert(w: Word) -> Word:
@@ -210,10 +210,10 @@ def nth_root(w: Word, n: int) -> Optional[Word]:
 
 # The most letters one word map (apply_hom, or commensurator.apply) may
 # write: the sum of the lengths of the images it substitutes, before the
-# seams cancel.  The benchmark and a rank-2 chain of restricted
-# automorphisms to index 5,400 write under 9,000 in a call; composing σ^16
-# with itself, for the automorphism σ: a → ab, b → a, writes 5.7 M, and
-# σ^18 with itself 39 M.
+# seams cancel; a word joined by _product counts its pieces.  The
+# benchmark and a rank-2 chain of restricted automorphisms to index 5,400
+# write under 9,000 in a call; composing σ^16 with itself, for the
+# automorphism σ: a → ab, b → a, writes 5.7 M, and σ^18 with itself 39 M.
 LETTER_LIMIT = 10_000_000
 
 
@@ -243,16 +243,33 @@ def _substitute(images: Sequence[Word], inverses: list, letters: Sequence[int]) 
         n = len(img)
         written += n
         if written > limit:
-            raise WorkLimitError(
-                f"apply_hom: {written} letters written from {len(images)} images "
-                f"exceed the letter limit ({limit})"
-            )
+            raise _letter_limit_error(written, len(images), limit)
         k = 0
         while out and k < n and out[-1] == -img[k]:
             out.pop()
             k += 1
         out.extend(img[k:] if k else img)
     return tuple.__new__(Word, out)
+
+
+def _product(images: Sequence[Word], *pieces: Word) -> Word:
+    """The reduced product of reduced pieces, one word that a map on images
+    writes.  Concatenation cancels only at the seams.  As in _substitute,
+    LETTER_LIMIT, read at call time, holds the letters of the pieces."""
+    written, limit = sum(map(len, pieces)), LETTER_LIMIT
+    if written > limit:
+        raise _letter_limit_error(written, len(images), limit)
+    out = EPSILON
+    for piece in pieces:
+        out = concat(out, piece)
+    return out
+
+
+def _letter_limit_error(written: int, images: int, limit: int) -> WorkLimitError:
+    return WorkLimitError(
+        f"apply_hom: {written} letters written from {images} images "
+        f"exceed the letter limit ({limit})"
+    )
 
 
 def apply_hom(images: Sequence[Word], w: Word) -> Word:
@@ -270,6 +287,8 @@ def apply_hom(images: Sequence[Word], w: Word) -> Word:
 def abelianize(w: Word, rank: int) -> tuple[int, ...]:
     """Exponent-sum vector of w in Z^rank; w is checked as a Word."""
     w = w if isinstance(w, Word) else Word(w)
+    if not _is_int(rank):
+        raise WordError(f"rank must be an int, got {rank!r}")
     if rank < 0:
         raise WordError(f"rank must be >= 0, got {rank}")
     _require_rank(w, rank, "word")

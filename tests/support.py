@@ -14,6 +14,7 @@ from freecomm import (
     EPSILON,
     CoreGraph,
     IndexCapError,
+    InvalidIsoError,
     NotInSubgroupError,
     PartialIso,
     RankMismatchError,
@@ -510,6 +511,46 @@ def apply_by_expression(phi: PartialIso, w: Word) -> Word:
                 f"exceed the letter limit ({limit})"
             )
     return Word(chain.from_iterable(pieces))
+
+
+def outcome(fn, *args):
+    """What a call gives: its result with its type, or its exception's type and message."""
+    try:
+        result = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(result), result
+
+
+def make_iso_by_contains_and_fold(
+    domain: Subgroup, codomain: Subgroup, images: Sequence[Word]
+) -> PartialIso:
+    """make_iso as it validated before it folded basis expressions: each
+    image passes contains, then the images themselves are folded and the
+    fold is compared with the codomain."""
+    if domain.rank != codomain.rank:
+        raise RankMismatchError(f"mixed ambient ranks {domain.rank} and {codomain.rank}")
+    if math.inf in (domain.index(), codomain.index()):
+        raise InvalidIsoError("domain and codomain must have finite index")
+    images = tuple(Word(w) for w in images)
+    size = len(domain.basis.elements)
+    if len(images) != size:
+        raise InvalidIsoError(
+            f"expected {size} images (one per domain basis element), got {len(images)}"
+        )
+    for w in images:
+        if not codomain.contains(w):
+            raise InvalidIsoError(f"image {_quoted(w)} lies outside the codomain")
+    if from_generators(domain.rank, images) != codomain:
+        raise InvalidIsoError("images generate a proper subgroup of the codomain")
+    g = codomain.graph
+    r = len(g.edges) - g.num_vertices + 1
+    if size != r:
+        raise InvalidIsoError(
+            f"rank drop: domain has rank {size} but codomain has rank {r}; "
+            "the map cannot be injective"
+        )
+    return PartialIso(domain=domain, codomain=codomain, images=images)
 
 
 def image_subgroup(phi: PartialIso, k: Subgroup) -> Subgroup:

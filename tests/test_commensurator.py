@@ -49,11 +49,13 @@ from freecomm import commensurator
 from support import (
     apply_by_expression,
     compose_images,
+    outcome,
     random_aut_images,
     random_restriction_iso,
     random_small_domain,
     random_tiny_domain,
     random_tiny_iso,
+    tree_by_two_tables,
 )
 
 words2 = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=10).map(Word)
@@ -122,15 +124,6 @@ def test_apply_rejects_outsiders():
         apply(kernel_swap_iso(), parse_word("a"))
 
 
-def _outcome(fn, *args):
-    """What a call gives: its result with its type, or its exception's type and message."""
-    try:
-        result = fn(*args)
-    except Exception as exc:
-        return type(exc), str(exc)
-    return type(result), result
-
-
 # spoilers spliced into a word of the domain: letters that leave it, a
 # cancelling pair, and what only a sequence that is not a Word can hold
 SPOILERS = [[1], [-2], [2, -2], [-1, 1], [3], [-3], [0], [1.0]]
@@ -159,7 +152,7 @@ def test_apply_refuses_as_the_expression_path_does(seed, data):
     with pytest.MonkeyPatch.context() as mp:
         if limit is not None:
             mp.setattr(words, "LETTER_LIMIT", limit)
-        assert _outcome(apply, phi, w) == _outcome(apply_by_expression, phi, w)
+        assert outcome(apply, phi, w) == outcome(apply_by_expression, phi, w)
 
 
 def test_apply_checks_rank_and_membership_before_the_letter_limit(monkeypatch):
@@ -199,8 +192,8 @@ def test_apply_and_apply_hom_share_the_letter_limit(seed, data):
     for limit in (written - 1, written, written + 1):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(words, "LETTER_LIMIT", limit)
-            got = _outcome(apply, phi, w)
-            assert got == _outcome(apply_hom, phi.images, expr)
+            got = outcome(apply, phi, w)
+            assert got == outcome(apply_hom, phi.images, expr)
         assert (got[0] is WorkLimitError) == (limit < written), got
 
 
@@ -223,6 +216,64 @@ def test_one_map_inverts_each_image_once(monkeypatch):
         for b in inverse_basis:
             apply(phi, b)
     assert sorted(inverted) == sorted(phi.images)
+
+
+def potential_letters(h, images):
+    """The most letters one word built from h's tree potentials is made of:
+    P(parent) and the image of the letter that finds a vertex, or P(u),
+    image(l) and P(v) across an off-tree edge u -l-> v, where P(v) is the
+    image of v's tree path."""
+    paths, _, off_tree = tree_by_two_tables(h.graph)
+    pot = {v: apply_hom(images, w) for v, w in paths.items()}
+    found = [len(apply_hom(images, w[:-1])) + len(images[abs(w[-1]) - 1]) for w in paths.values() if w]
+    crossed = [len(pot[u]) + len(images[l - 1]) + len(pot[v]) for u, l, v in off_tree]
+    return max(found + crossed)
+
+
+@given(seeds)
+@settings(deadline=None, max_examples=25)
+def test_tree_potentials_hold_each_word_to_the_letter_limit(seed):
+    # at, one under and one over the most letters one word is built from
+    rng = random.Random(seed)
+    h, images = random_small_domain(rng, 2), random_aut_images(rng, 2)
+    expected = [apply_hom(images, b) for b in h.basis.elements]
+    written = potential_letters(h, images)
+    for limit in (written - 1, written, written + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(words, "LETTER_LIMIT", limit)
+            if limit < written:
+                with pytest.raises(
+                    WorkLimitError,
+                    match=rf"^apply_hom: {written} letters written from 2 images "
+                    rf"exceed the letter limit \({limit}\)$",
+                ):
+                    list(h._hom_on_basis(images))
+            else:
+                assert list(h._hom_on_basis(images)) == expected
+
+
+def test_make_iso_of_the_kernel_swap_folds_one_letter_per_image(monkeypatch):
+    # each image is one basis element, so its expression is one letter, and
+    # the fold reads p + 1 letters where the images have about p²/2
+    p = 97
+    h = kernel_mod_p(2, (1, 0), p)
+    basis = h.basis.elements
+    images = list(basis)
+    i, j = basis.index(power(Word((1,)), p)), basis.index(Word((2,)))
+    images[i], images[j] = images[j], images[i]
+    folded = []
+    fold = commensurator.from_generators
+
+    def spied(rank, gens):
+        gens = list(gens)
+        folded.append((rank, gens))
+        return fold(rank, gens)
+
+    monkeypatch.setattr(commensurator, "from_generators", spied)
+    swap = make_iso(h, h, images)
+    assert swap.images == tuple(images)
+    assert [(rank, len(gens)) for rank, gens in folded] == [(p + 1, p + 1)]
+    assert all(len(w) == 1 for w in folded[0][1])
 
 
 def test_invert_examples():

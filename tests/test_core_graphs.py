@@ -95,6 +95,10 @@ def check(rng, rank, base, edges, labels):
         with pytest.raises(InfiniteIndexError):
             h.coset_representatives()
     basis = h.basis.elements
+    if rank == len(labels):
+        # the tree potentials map the basis as apply_hom maps each element
+        images = [random_word(rng, rank, 4) for _ in range(rank)]
+        assert list(h._hom_on_basis(images)) == [apply_hom(images, b) for b in basis]
     members = [apply_hom(basis, v) for v in words_over(rng, range(1, len(basis) + 1), 5 if basis else 0)]
     for w in members + words_over(rng, labels, 10):
         expected = express_in_basis_by_two_tables(h.graph, w)

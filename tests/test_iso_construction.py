@@ -17,12 +17,15 @@ from freecomm import (
     InvalidIsoError,
     Word,
     compose,
+    compose_many,
+    concat,
     embed_aut,
     from_generators,
     identity_iso,
     intersect,
     invert_iso,
     is_identity_class,
+    invert,
     join,
     kernel_mod_p,
     make_iso,
@@ -36,7 +39,11 @@ from freecomm import commensurator
 from support import (
     compose_by_inversion,
     invert_iso_by_make_iso,
+    make_iso_by_contains_and_fold,
+    outcome,
     random_aut_images,
+    random_cover,
+    random_nontrivial_word,
     random_restriction_iso,
     random_small_domain,
     random_tiny_iso,
@@ -198,3 +205,79 @@ def test_builders_reject_infinite_index_as_make_iso_does():
         transfer_to_overgroup(whole, thin)
     with pytest.raises(InvalidIsoError, match=message):
         make_iso(thin, thin, thin.basis.elements)
+
+
+def validator_sides(rng, kind):
+    """A domain and a codomain of equal rank: a random cover with itself or
+    with another cover of its index, a Z/p kernel with itself, or the two
+    sides of a short chain of restricted automorphisms."""
+    rank = rng.choice((2, 3))
+    if kind == "cover":
+        n = rng.randrange(1, 9)
+        h = random_cover(rng, rank, n)
+        return h, rng.choice((h, random_cover(rng, rank, n)))
+    if kind == "kernel":
+        p = rng.randrange(2, 12)
+        h = kernel_mod_p(rank, [1] + [rng.randrange(p) for _ in range(rank - 1)], p)
+        return h, h
+    phi = compose_many([random_restriction_iso(rng, 2) for _ in range(rng.randrange(1, 3))])
+    return phi.domain, phi.codomain
+
+
+def nielsen_images(rng, basis):
+    """The basis, shuffled and moved by a few Nielsen moves: it generates
+    what the basis generates."""
+    images = list(basis)
+    rng.shuffle(images)
+    for _ in range(rng.randrange(4)):
+        i = rng.randrange(len(images))
+        j = rng.choice([j for j in range(len(images)) if j != i] or [i])
+        if j == i:
+            images[i] = invert(images[i])
+        else:
+            images[i] = concat(images[i], rng.choice((images[j], invert(images[j]))))
+    return images
+
+
+def spoil(rng, variant, rank, codomain, images):
+    """images as the variant leaves them: valid, or wrong in one way."""
+    if variant == "outside" and codomain.index() > 1:
+        outsiders = [random_nontrivial_word(rng, rank, 4) for _ in range(20)]
+        outsider = next((w for w in outsiders if not codomain.contains(w)), None)
+        if outsider is not None:
+            images[rng.randrange(len(images))] = outsider
+    elif variant == "squares":
+        images = [concat(w, w) for w in images]
+    elif variant == "fewer":
+        images = images[:-1]
+    elif variant == "more":
+        images = images + [images[0]]
+    elif variant == "past rank":
+        i = rng.randrange(len(images))
+        images[i] = concat(images[i], Word((rank + 1,)))
+    return images
+
+
+@given(
+    seeds,
+    st.sampled_from(("cover", "kernel", "chain")),
+    st.sampled_from(("valid", "outside", "squares", "fewer", "more", "past rank", "overgroup")),
+)
+@settings(deadline=None, max_examples=150)
+def test_make_iso_validates_as_the_contains_and_fold_reference(seed, kind, variant):
+    # make_iso folds the images' expressions over the codomain's basis; the
+    # reference tests each image with contains and folds the images themselves
+    rng = random.Random(seed)
+    domain, codomain = validator_sides(rng, kind)
+    rank, size = domain.rank, len(domain.basis.elements)
+    if variant == "overgroup":
+        # the generators and other words, one per domain basis element, onto
+        # the whole group: a rank drop unless the domain is the whole group
+        codomain = whole_group(rank)
+        images = [Word((i,)) for i in range(1, rank + 1)]
+        images = (images + [random_nontrivial_word(rng, rank, 4) for _ in range(size)])[:size]
+    else:
+        images = spoil(rng, variant, rank, codomain, nielsen_images(rng, codomain.basis.elements))
+    expected = outcome(make_iso_by_contains_and_fold, domain, codomain, images)
+    assert outcome(make_iso, domain, codomain, images) == expected
+

@@ -79,6 +79,24 @@ def test_scenarios_refuse_a_modulus_that_is_not_an_int():
         for p in (3.0, True):
             with pytest.raises(ValueError, match=rf"^{op}: modulus must be an int, got {p!r}$"):
                 run(p)
+    # and so are the other counts and parameters, before any arithmetic
+    # (math.gcd, a tuple times a float and range() raised bare TypeErrors,
+    # and bs_element built an element with k=2.0)
+    calls = [
+        ("kernel_swap", "rank", lambda x: kernel_swap(x, 3)),
+        ("free_product_twist", "rank", lambda x: free_product_twist(x, 3)),
+        ("bs_image_index", "k", lambda x: bs_image_index(x, 3)),
+        ("bs_report", "k", lambda x: bs_report(x, 3)),
+        ("bs_report", "samples", lambda x: bs_report(2, 3, x)),
+        ("bs_element", "k", lambda x: bs_element(1, 0, 0, x)),
+        ("hnn_obstruction", "n", lambda x: hnn_obstruction(x, 2)),
+        ("hnn_obstruction", "bound", lambda x: hnn_obstruction(3, x)),
+        ("hnn_obstruction", "n", lambda x: hnn_report(x, 2)),
+    ]
+    for op, name, run in calls:
+        for x in (2.0, 3.0, True, "3"):
+            with pytest.raises(ValueError, match=rf"^{op}: {name} must be an int, got {x!r}$"):
+                run(x)
 
 
 def test_kernel_swap_objects_revalidate():

@@ -293,6 +293,15 @@ def test_apply_hom_commutes_with_invert(w):
     assert apply_hom(images, invert(w)) == invert(apply_hom(images, w))
 
 
+def test_abelianize_refuses_a_rank_that_is_not_an_int():
+    # True counted as rank 1, and 2.0 raised a bare TypeError from [0] * rank
+    for rank in (True, 2.0):
+        with pytest.raises(WordError, match=rf"^rank must be an int, got {rank!r}$"):
+            abelianize(Word((1,)), rank)
+    with pytest.raises(WordError, match=r"^rank must be >= 0, got -1$"):
+        abelianize(EPSILON, -1)
+
+
 def test_abelianize_examples():
     assert abelianize(parse_word("aaa"), 2) == (3, 0)
     assert abelianize(parse_word("Aba"), 2) == (0, 1)
