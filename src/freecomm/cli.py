@@ -66,24 +66,20 @@ from .words import parse_word, word_to_text
 __all__ = ["main", "run"]
 
 
-class _CliError(Exception):
-    """User-facing failure mapped to exit code 2."""
-
-
 def _read_json(path: str):
     if path == "-" and sys.stdin is None:
-        raise _CliError("-: standard input is closed")
+        raise ValueError("-: standard input is closed")
     try:
         if path == "-":
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise _CliError(f"{path}: not valid JSON: {exc}") from exc
+        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     except RecursionError as exc:
-        raise _CliError(f"{path}: not valid JSON: nested too deeply") from exc
+        raise ValueError(f"{path}: not valid JSON: nested too deeply") from exc
     except OSError as exc:
-        raise _CliError(f"{path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def _load_subgroup(path: str) -> Subgroup:
@@ -125,7 +121,7 @@ def _emit_bool(value: bool) -> int:
 
 def _check_rank(rank: int) -> int:
     if not 1 <= rank <= 26:
-        raise _CliError(f"rank must be between 1 and 26 for text I/O, got {rank}")
+        raise ValueError(f"rank must be between 1 and 26 for text I/O, got {rank}")
     return rank
 
 
@@ -137,7 +133,7 @@ def _parse_weights(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise _CliError(f"--weights expects comma-separated integers, got {text!r}") from exc
+        raise ValueError(f"--weights expects comma-separated integers, got {text!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +213,7 @@ def _extend_ambient(args) -> int:
 def _transfer(args) -> int:
     phi = _load_iso(args.iso)
     if (args.down is None) == (args.up is None):
-        raise _CliError("transfer needs exactly one of --down or --up")
+        raise ValueError("transfer needs exactly one of --down or --up")
     if args.down is not None:
         return _emit_iso(transfer_to_subgroup(phi, _load_subgroup(args.down)))
     return _emit_iso(transfer_to_overgroup(phi, _load_subgroup(args.up)))
@@ -342,7 +338,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.run(args)
-    except (_CliError, FreecommError, ValueError) as exc:
+    except (FreecommError, ValueError) as exc:
         if isinstance(exc, (IndexCapError, WorkLimitError)):  # the library names only its step
             exc = f"{args.command} {args.op}: {exc}"
         print(f"error: {exc}", file=sys.stderr)

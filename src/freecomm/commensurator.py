@@ -30,8 +30,6 @@ from .errors import (
 from .record import Record
 from .stallings import (
     Subgroup,
-    _cap_error,
-    _component,
     _require_same_rank,
     from_generators,
     graph_from_document,
@@ -40,9 +38,7 @@ from .stallings import (
     is_normal,
     join,
     kernel_mod_p,
-    rewrite_over_basis,
     subindex,
-    vertex_cap,
     whole_group,
     witness_expresser,
 )
@@ -208,54 +204,6 @@ def apply(phi: PartialIso, w: Word) -> Word:
     return _substitute(phi.images, phi._inverses, phi.domain.express_in_basis(w))
 
 
-def _pull_back(alpha: PartialIso, k: Subgroup) -> Subgroup:
-    """The preimage under alpha of a finite-index subgroup K of its codomain.
-
-    The domain acts on the cosets of K through alpha: crossing the i-th
-    edge off the domain's spanning tree moves a coset along image i (back
-    along its inverse), and a tree edge leaves it in place.  The preimage
-    is the stabilizer of K, so its graph is the component of (basepoint,
-    K) in the product of the domain's graph with that action: the walk of
-    intersect, with the second coordinate twisted.  Both are covers, so
-    each state has all 2·rank letters, listed in scan order, and when a
-    leads from (v, c) to (w, d), -a leads back: that is recorded, not traced.
-    When K is the whole codomain, alpha is onto it, so the preimage is the
-    domain itself, which is returned as it is, held to the cap as the walk
-    would hold it.
-    """
-    g, images = alpha.domain.graph, alpha.images
-
-    def too_big(count, cap):
-        return (
-            f"pull-back: the preimage of an index-{k.index()} subgroup in an "
-            f"index-{g.num_vertices} domain would exceed the vertex cap ({cap})"
-        )
-
-    if k == alpha.codomain:
-        cap = vertex_cap()
-        if g.num_vertices > cap:
-            raise _cap_error(too_big(g.num_vertices, cap))
-        return alpha.domain
-    steps, trace, inverses = alpha.domain._tree[1], k.graph.trace, alpha._inverses
-    for i, img in enumerate(inverses):
-        if img is None:
-            inverses[i] = invert(images[i])
-    back = {}  # (w, -a, d) -> c, for each crossing from (v, c) under a to (w, d)
-
-    def step(pair):
-        v, c = pair
-        row = {}
-        for a, (w, i) in steps[v].items():
-            d = back.pop((v, a, c), None)
-            if d is None:
-                d = trace(c, images[i - 1] if i > 0 else inverses[-i - 1]) if i else c
-                back[w, -a, d] = c
-            row[a] = (w, d)
-        return row
-
-    return _component(alpha.rank, (0, 0), step, too_big)
-
-
 def invert_iso(phi: PartialIso) -> PartialIso:
     """The inverse map, with basis images recovered by witness folding."""
     express = witness_expresser(phi.rank, phi.images)
@@ -272,26 +220,26 @@ def invert_iso(phi: PartialIso) -> PartialIso:
 def compose(alpha: PartialIso, beta: PartialIso) -> PartialIso:
     """The product map: first alpha, then beta.
 
-    Defined on the preimage under alpha of K = codomain(alpha) ∩
-    domain(beta), mapping onto beta(K).  Two cases skip work:
+    Defined on the preimage of domain(beta) under alpha, which alpha maps
+    onto K = codomain(alpha) ∩ domain(beta); K itself is never built.
+    Two cases skip work:
 
-    - K is codomain(alpha): the preimage is domain(alpha), with no
-      pull-back, and alpha's images of its basis are alpha.images as
-      they stand, so they are not expressed and mapped again;
-    - K is domain(beta): beta(K) is codomain(beta), so the images are
-      not folded.  They generate it, and a map onto a free group of the
-      same finite rank is an isomorphism (free groups are Hopfian), so
-      the rank check of _iso is all that is left.
+    - alpha's images lie in domain(beta): the preimage is domain(alpha),
+      with no walk, and its images are alpha.images as they stand;
+    - K is domain(beta), as the indices tell, for [codomain(alpha) : K] =
+      [domain(alpha) : preimage]: beta(K) is codomain(beta), so the
+      images are not folded.  They generate it, and a map onto a free
+      group of the same finite rank is an isomorphism (free groups are
+      Hopfian), so the rank check of _iso is all that is left.
     """
     _require_same_rank(alpha, beta)
-    k = intersect(alpha.codomain, beta.domain)
-    dom = _pull_back(alpha, k)
+    dom = alpha.domain._preimage(alpha.images, alpha._inverses, beta.domain)
     if dom is alpha.domain:
         middle = alpha.images
     else:
         middle = [apply(alpha, b) for b in dom.basis.elements]
-    codomain = beta.codomain if k == beta.domain else None
-    return _iso(dom, [apply(beta, w) for w in middle], codomain)
+    onto = alpha.codomain.index() * dom.index() == alpha.domain.index() * beta.domain.index()
+    return _iso(dom, [apply(beta, w) for w in middle], beta.codomain if onto else None)
 
 
 def compose_many(isos: Sequence[PartialIso]) -> PartialIso:
@@ -520,13 +468,16 @@ def transfer_to_subgroup(alpha: PartialIso, h: Subgroup) -> PartialIso:
 
     The new domain is the part of H whose image stays in H; all words
     are rewritten over the canonical basis of H, whose letters are the
-    generators of the new ambient free group.
+    generators of the new ambient free group: it is the preimage, under
+    the map onto basis(H), of the preimage of H under alpha.
     """
     _require_same_rank(h, alpha)
     if h.index() is math.inf:
         raise InvalidIsoError("transfer needs a finite-index subgroup")
-    dom = rewrite_over_basis(h, intersect(_pull_back(alpha, intersect(alpha.codomain, h)), h))
-    images = [h.express_in_basis(apply(alpha, w)) for w in dom._hom_on_basis(h.basis.elements)]
+    pre = alpha.domain._preimage(alpha.images, alpha._inverses, h)
+    h_basis = h.basis.elements
+    dom = whole_group(len(h_basis))._preimage(h_basis, [None] * len(h_basis), pre)
+    images = [h.express_in_basis(apply(alpha, w)) for w in dom._hom_on_basis(h_basis)]
     return _iso(dom, images)
 
 

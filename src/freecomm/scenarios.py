@@ -27,7 +27,6 @@ from .commensurator import (
     iso_to_document,
     make_iso,
 )
-from . import words
 from .errors import WorkLimitError
 from .record import Record
 from .stallings import (
@@ -42,6 +41,7 @@ from .stallings import (
 from .words import (
     Word,
     _is_int,
+    _require_letters_under_limit,
     conjugate,
     imprimitivity_certificate,
     power,
@@ -102,10 +102,7 @@ def _swap_kernel(op: str, rank: int, p: int, twist_letters: int = 0):
     if rank < 2:
         raise ValueError(f"rank must be at least 2, got {rank}")
     _require_prime(op, p)
-    letters = (rank - 1) * p * p + (rank - 1) * (p - 1) * twist_letters
-    limit = words.LETTER_LIMIT
-    if letters > limit:
-        raise WorkLimitError(f"{op}: {letters} letters exceed the letter limit ({limit})")
+    _require_letters_under_limit(op, (rank - 1) * p * p + (rank - 1) * (p - 1) * twist_letters)
     return kernel_mod_p(rank, (1,) + (0,) * (rank - 1), p)
 
 

@@ -22,7 +22,8 @@ search: the block systems of a cover are its states too.  As the table
 is canonical, one pass over it, row by row, gives the spanning tree and
 the crossing table: the same table, with each half marked by the
 off-tree edge it crosses.  The free basis, basis expressions, the
-pull-back of a map and the tree potentials that map the basis read it.
+tree potentials that map the basis and the pull-back of a subgroup
+through a map of the basis (Subgroup._preimage) read it.
 
 Finite index corresponds to the graph being a cover (every vertex has
 all 2·rank letters); the index is then the vertex count.  Graph
@@ -603,6 +604,53 @@ class Subgroup(Record):
             _require_rank(w, self.rank, "word")
             raise NotInSubgroupError(f"{_quoted(w)} is not in the subgroup")
         return tuple.__new__(Word, letters)
+
+    def _preimage(self, images: Sequence[Word], inverses: list, k: Subgroup) -> Subgroup:
+        """The preimage of a finite-index K under the map sending basis
+        element i to images[i-1]; inverses caches the inverse images.
+
+        The subgroup acts on the cosets of K through the map: crossing the
+        i-th off-tree edge moves a coset along image i (back along its
+        inverse), and a tree edge leaves it in place.  The preimage is the
+        stabilizer of K's base coset, so its graph is the component of
+        (0, 0) in the product of this graph with that action: the walk of
+        intersect, with the second coordinate twisted.  K's graph is a
+        cover, so K need not hold the images, and when a leads from (v, c)
+        to (w, d), -a leads back: that is recorded, not traced.  When K
+        holds every image, this subgroup is returned as it is, held to the
+        cap as the walk would hold it.
+        """
+        g, trace = self.graph, k.graph.trace
+
+        def too_big(count, cap):
+            return (
+                f"pull-back: the preimage of an index-{k.index()} subgroup in an "
+                f"index-{g.num_vertices} domain would exceed the vertex cap ({cap})"
+            )
+
+        if all(trace(0, img) == 0 for img in images):
+            cap = vertex_cap()
+            if g.num_vertices > cap:
+                raise _cap_error(too_big(g.num_vertices, cap))
+            return self
+        steps = self._tree[1]
+        for i, img in enumerate(inverses):
+            if img is None:
+                inverses[i] = invert(images[i])
+        back = {}  # (w, -a, d) -> c, for each crossing from (v, c) under a to (w, d)
+
+        def step(pair):
+            v, c = pair
+            row = {}
+            for a, (w, i) in steps[v].items():
+                d = back.pop((v, a, c), None)
+                if d is None:
+                    d = trace(c, images[i - 1] if i > 0 else inverses[-i - 1]) if i else c
+                    back[w, -a, d] = c
+                row[a] = (w, d)
+            return row
+
+        return _component(self.rank, (0, 0), step, too_big)
 
     def coset_representatives(self) -> tuple[Word, ...]:
         """Spanning-tree transversal words, one per vertex, in canonical order."""

@@ -159,9 +159,7 @@ def power(w: Word, n: int) -> Word:
     if n < 0:
         return power(invert(w), -n)
     u, c = cyclic_split(w)
-    letters, limit = 2 * len(u) + n * len(c), LETTER_LIMIT
-    if letters > limit:
-        raise WorkLimitError(f"power: {letters} letters exceed the letter limit ({limit})")
+    _require_letters_under_limit("power", 2 * len(u) + n * len(c))
     return _around(u, tuple(c) * n, w)
 
 
@@ -215,6 +213,13 @@ def nth_root(w: Word, n: int) -> Optional[Word]:
 # write under 9,000 in a call; composing σ^16 with itself, for the
 # automorphism σ: a → ab, b → a, writes 5.7 M, and σ^18 with itself 39 M.
 LETTER_LIMIT = 10_000_000
+
+
+def _require_letters_under_limit(op: str, letters: int) -> None:
+    """Refuse op's word of this many letters before it is built, if they
+    pass LETTER_LIMIT, read at call time."""
+    if letters > LETTER_LIMIT:
+        raise WorkLimitError(f"{op}: {letters} letters exceed the letter limit ({LETTER_LIMIT})")
 
 
 def _substitute(images: Sequence[Word], inverses: list, letters: Sequence[int]) -> Word:

@@ -781,7 +781,7 @@ def intersect_by_own_search(h: Subgroup, k: Subgroup) -> Subgroup:
 
 
 def pull_back_by_own_search(alpha: PartialIso, k: Subgroup) -> Subgroup:
-    """The preimage under alpha of a finite-index K <= codomain(alpha)."""
+    """The preimage under alpha of a finite-index K."""
     g, kg = alpha.domain.graph, k.graph
     _, _, off_tree = tree_by_two_tables(g)
     index = {(u, l): i for i, (u, l, _) in enumerate(off_tree, start=1)}

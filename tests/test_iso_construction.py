@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from freecomm import (
     IndexCapError,
     InvalidIsoError,
+    Subgroup,
     Word,
     compose,
     compose_many,
@@ -35,7 +36,7 @@ from freecomm import (
     transfer_to_subgroup,
     whole_group,
 )
-from freecomm import commensurator
+from freecomm import commensurator, stallings
 from support import (
     compose_by_inversion,
     invert_iso_by_make_iso,
@@ -160,26 +161,82 @@ def test_transfer_to_subgroup_matches_reference(seed, rank):
 @given(seeds, st.sampled_from((2, 3)))
 @settings(deadline=None, max_examples=25)
 def test_transfer_to_an_overgroup_of_the_codomain_matches_reference(seed, rank):
-    # H contains codomain(alpha), so the pull-back of codomain(alpha) ∩ H is
-    # alpha's domain, which the pull-back returns as it is
+    # H contains codomain(alpha), so the pull-back of H is alpha's domain,
+    # which the pull-back returns as it is; the second pull-back, over
+    # basis(H), returns its whole group when H lies in that domain
     rng = random.Random(seed)
     alpha = random_restriction_iso(rng, rank)
     h = rng.choice(
         (alpha.codomain, whole_group(rank), join(alpha.codomain, random_small_domain(rng, rank)))
     )
     pulled = []
-    pull_back = commensurator._pull_back
+    pull_back = Subgroup._preimage
 
-    def watched(phi, k):
-        pre = pull_back(phi, k)
-        pulled.append(pre is phi.domain)
+    def watched(self, images, inverses, k):
+        pre = pull_back(self, images, inverses, k)
+        pulled.append(pre is self)
         return pre
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(commensurator, "_pull_back", watched)
+        mp.setattr(Subgroup, "_preimage", watched)
         transfer = transfer_to_subgroup(alpha, h)
-    assert pulled == [True]
+    inside = all(alpha.domain.contains(b) for b in h.basis.elements)
+    assert pulled == [True, inside]
     assert_same_iso(transfer, transfer_to_subgroup_by_inversion(alpha, h))
+
+
+@given(seeds, st.sampled_from((1, 2, 3)))
+@settings(deadline=None, max_examples=25)
+def test_compose_and_transfer_build_no_intersection(seed, rank):
+    # both pull a subgroup back through a map; neither builds the
+    # intersection of codomain(alpha) with it, nor any other
+    rng = random.Random(seed)
+    alpha, beta = random_restriction_iso(rng, rank), random_restriction_iso(rng, rank)
+    h = random_small_domain(rng, rank)
+    expected = compose_by_inversion(alpha, beta), transfer_to_subgroup_by_inversion(alpha, h)
+    called = []
+
+    def spied(*args):
+        called.append(args)
+        return intersect(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(commensurator, "intersect", spied)
+        mp.setattr(stallings, "intersect", spied)
+        got = compose(alpha, beta), transfer_to_subgroup(alpha, h)
+    assert called == []
+    for phi, ref in zip(got, expected):
+        assert_same_iso(phi, ref)
+
+
+def test_compose_is_held_only_to_the_graphs_it_builds(monkeypatch):
+    # a -> a^150 then a^300 -> a: the pull-back of a^300 has index 2 and
+    # the product is a^2 -> a, onto the whole group; the intersection
+    # a^150 ∩ a^300, with its 300 vertices, is not built
+    alpha = make_iso(whole_group(1), cyclic(150), [Word((1,) * 150)])
+    beta = make_iso(cyclic(300), whole_group(1), [Word((1,))])
+    monkeypatch.setenv("FREECOMM_INDEX_CAP", "100")
+    phi = compose(alpha, beta)
+    assert (phi.domain.index(), phi.codomain.index()) == (2, 1)
+    assert (phi.domain, phi.codomain, phi.images) == (cyclic(2), whole_group(1), (Word((1,)),))
+
+
+def test_over_cap_compose_and_transfer_are_refused_by_the_pull_back(monkeypatch):
+    # at rank 2 the product of index-7 and index-5 kernels has 35 vertices
+    alpha = identity_iso(kernel_mod_p(2, (1, 0), 7))
+    h = kernel_mod_p(2, (0, 1), 5)
+    beta = identity_iso(h)
+    monkeypatch.setenv("FREECOMM_INDEX_CAP", "30")
+    message = (
+        r"^pull-back: the preimage of an index-5 subgroup in an index-7 domain would "
+        r"exceed the vertex cap \(30\); raise FREECOMM_INDEX_CAP to allow larger graphs$"
+    )
+    with pytest.raises(IndexCapError, match=message):
+        compose(alpha, beta)
+    with pytest.raises(IndexCapError, match=message):
+        transfer_to_subgroup(alpha, h)
+    monkeypatch.setenv("FREECOMM_INDEX_CAP", "35")
+    assert compose(alpha, beta).domain.index() == 35
 
 
 def test_constructor_rejects_rank_drop_as_make_iso_does():

@@ -1,7 +1,8 @@
 """Products of graphs against their own searches.
 
-intersect and the pull-back inside compose walk one component of a
-product graph with one shared walk, and extend_pair reads its coset
+intersect and the pull-back (Subgroup._preimage, which compose and
+transfer_to_subgroup call) walk one component of a product graph with
+one shared walk, and extend_pair reads its coset
 representatives off the intersection of the two domains.  tests/support.py
 keeps the searches each of them ran before; both must give the same
 subgroups, the same maps and the same vertex cap errors.
@@ -14,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from freecomm import (
     IndexCapError,
-    commensurator,
     embed_aut,
     extend_pair,
     from_generators,
@@ -27,6 +27,7 @@ from support import (
     pull_back_by_own_search,
     random_aut_images,
     random_cover,
+    random_restriction_iso,
     random_tiny_domain,
     random_tiny_iso,
     random_word,
@@ -44,11 +45,20 @@ def covers_and_non_covers(rng, rank):
 
 
 def pull_back_cases(rng, rank):
-    """(alpha, K) with K of finite index in alpha's codomain: the K of compose
-    for a pair of tiny isos, and the codomain cut by a random cover."""
+    """(alpha, K) with K of finite index: inside alpha's codomain, the
+    codomain cut by the other domain of a pair of tiny isos or by a random
+    cover; and, as compose and transfer_to_subgroup pull back, K not
+    inside it, the domain of a random restriction iso and a kernel onto
+    Z/2 or Z/3."""
     alpha, beta = random_tiny_iso(rng, rank), random_tiny_iso(rng, rank)
     cover = random_cover(rng, rank, rng.randrange(1, 13))
-    return [(alpha, intersect(alpha.codomain, k)) for k in (beta.domain, cover)]
+    inside = [(alpha, intersect(alpha.codomain, k)) for k in (beta.domain, cover)]
+    outside = (random_restriction_iso(rng, rank).domain, random_tiny_domain(rng, rank))
+    return inside + [(alpha, k) for k in outside]
+
+
+def pull_back(alpha, k):
+    return alpha.domain._preimage(alpha.images, alpha._inverses, k)
 
 
 def same_outcome(run, reference):
@@ -76,7 +86,7 @@ def test_intersect_matches_own_search(seed, rank):
 def test_pull_back_matches_own_search(seed, rank):
     rng = random.Random(seed)
     for alpha, k in pull_back_cases(rng, rank):
-        assert commensurator._pull_back(alpha, k) == pull_back_by_own_search(alpha, k)
+        assert pull_back(alpha, k) == pull_back_by_own_search(alpha, k)
 
 
 @pytest.mark.parametrize("cap", ["1", "3", "7", "20"])
@@ -89,9 +99,7 @@ def test_cap_errors_match_own_search(monkeypatch, cap):
     for a, b in products:
         same_outcome(lambda: intersect(a, b), lambda: intersect_by_own_search(a, b))
     for alpha, k in pull_backs:
-        same_outcome(
-            lambda: commensurator._pull_back(alpha, k), lambda: pull_back_by_own_search(alpha, k)
-        )
+        same_outcome(lambda: pull_back(alpha, k), lambda: pull_back_by_own_search(alpha, k))
 
 
 @given(seeds, st.sampled_from((2, 3)))
