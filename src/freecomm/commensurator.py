@@ -89,15 +89,25 @@ class PartialIso(Record):
     domain, written in the ambient generators.  Instances are built by
     make_iso (and embed_aut, iso_from_document), which validate their
     input at the boundary, and by _iso inside the library, where the
-    images are correct by construction.
+    images are correct by construction, and fold into a codomain when
+    it is first read if _iso was not given one.
     """
 
-    def __init__(self, domain: Subgroup, codomain: Subgroup, images: tuple[Word, ...]):
-        self.__dict__.update(domain=domain, codomain=codomain, images=images)
+    def __init__(self, domain: Subgroup, codomain: Optional[Subgroup], images: tuple[Word, ...]):
+        self.__dict__.update(domain=domain, images=images)
+        if codomain is not None:
+            self.__dict__["codomain"] = codomain
 
     @property
     def rank(self) -> int:
         return self.domain.rank
+
+    @cached_property
+    def codomain(self) -> Subgroup:
+        """The fold of the images, held to the rank check of _iso."""
+        codomain = from_generators(self.rank, self.images)
+        _require_equal_rank(len(self.images), codomain)
+        return codomain
 
     @cached_property
     def _inverses(self) -> list:
@@ -176,14 +186,13 @@ def _iso(
 
     The caller guarantees that both sides have finite index and that the
     codomain, when given, is the subgroup the images generate; otherwise
-    the images are folded once.  The map onto the codomain is then an
-    isomorphism exactly when the ranks agree (free groups are hopfian),
-    so that is the one check.
+    the images are folded when the codomain is first read.  The map onto
+    it is an isomorphism exactly when the ranks agree (free groups are
+    hopfian), so that is the one check, made here or at that read.
     """
     images = tuple(images)
-    if codomain is None:
-        codomain = from_generators(domain.rank, images)
-    _require_equal_rank(len(images), codomain)
+    if codomain is not None:
+        _require_equal_rank(len(images), codomain)
     return PartialIso(domain=domain, codomain=codomain, images=images)
 
 
@@ -227,10 +236,11 @@ def compose(alpha: PartialIso, beta: PartialIso) -> PartialIso:
     - alpha's images lie in domain(beta): the preimage is domain(alpha),
       with no walk, and its images are alpha.images as they stand;
     - K is domain(beta), as the indices tell, for [codomain(alpha) : K] =
-      [domain(alpha) : preimage]: beta(K) is codomain(beta), so the
-      images are not folded.  They generate it, and a map onto a free
-      group of the same finite rank is an isomorphism (free groups are
-      Hopfian), so the rank check of _iso is all that is left.
+      [domain(alpha) : preimage]: beta(K) is codomain(beta), kept if
+      beta has folded it, so the images are not folded.  They generate it,
+      and a map onto a free group of the same finite rank is an
+      isomorphism (free groups are Hopfian), so the rank check of _iso is
+      all that is left.  Above rank 1 no codomain is read (_codomain_index).
     """
     _require_same_rank(alpha, beta)
     dom = alpha.domain._preimage(alpha.images, alpha._inverses, beta.domain)
@@ -238,8 +248,14 @@ def compose(alpha: PartialIso, beta: PartialIso) -> PartialIso:
         middle = alpha.images
     else:
         middle = [apply(alpha, b) for b in dom.basis.elements]
-    onto = alpha.codomain.index() * dom.index() == alpha.domain.index() * beta.domain.index()
-    return _iso(dom, [apply(beta, w) for w in middle], beta.codomain if onto else None)
+    onto = _codomain_index(alpha) * dom.index() == alpha.domain.index() * beta.domain.index()
+    return _iso(dom, [apply(beta, w) for w in middle], vars(beta).get("codomain") if onto else None)
+
+
+def _codomain_index(phi: PartialIso) -> int:
+    """Above rank 1 the domain's index: phi keeps the rank n(r - 1) + 1 of
+    an index-n subgroup of F_r (Schreier).  In rank 1 it reads the codomain."""
+    return phi.domain.index() if phi.rank > 1 else phi.codomain.index()
 
 
 def compose_many(isos: Sequence[PartialIso]) -> PartialIso:
@@ -305,6 +321,8 @@ def equivalent_bruteforce(alpha: PartialIso, beta: PartialIso, max_index: int) -
     candidate.  Candidates are independent, so evaluation order cannot
     change the answer.
     """
+    if not _is_int(max_index):
+        raise ValueError(f"max_index must be an int, got {max_index!r}")
     if max_index < 1:
         raise ValueError(f"max_index must be positive, got {max_index}")
     _require_same_rank(alpha, beta)

@@ -270,6 +270,24 @@ def test_resource_errors_name_the_operation(tmp_path, monkeypatch):
     )
 
 
+def test_a_codomain_past_the_cap_is_refused_when_the_document_is_written(tmp_path, monkeypatch):
+    # σ⁵ on the index-5 kernel of a: compose and restrict build the map
+    # under the cap of 20, and the fold of its images, when the document
+    # reads the codomain, passes it with the line compose and restrict gave
+    # when they folded at once
+    k = kernel_mod_p(2, (1, 0), 5)
+    ident = write_doc(tmp_path / "ident5.json", iso_to_document(identity_iso(k)))
+    kernel = write_doc(tmp_path / "k5.json", graph_to_document(k.graph))
+    sigma = sigma_power_file(tmp_path, 5)
+    monkeypatch.setenv("FREECOMM_INDEX_CAP", "20")
+    line = (
+        "from_generators: the folded graph would exceed the vertex cap (20) with 29 live "
+        "vertices (29 allocated); raise FREECOMM_INDEX_CAP to allow larger graphs\n"
+    )
+    assert invoke("iso", "compose", ident, sigma) == (2, "", "error: iso compose: " + line)
+    assert invoke("iso", "restrict", sigma, "--to", kernel) == (2, "", "error: iso restrict: " + line)
+
+
 def test_scenario_letters_are_held_to_the_letter_limit(monkeypatch):
     # rank 26 at p = 9973 passes the cap and primality, and would write
     # 25·9973² letters, tens of GB

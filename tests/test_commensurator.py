@@ -375,6 +375,15 @@ def test_bruteforce_oracle_examples():
             equivalent_bruteforce(swap, swap, bound)
 
 
+def test_bruteforce_refuses_a_bound_that_is_not_an_int():
+    # True would act as 1 and 2.5 as 2.5, each answering False for a map
+    # against itself; both are refused before the bound is compared
+    swap = kernel_swap_iso()
+    for bound, shown in ((True, "True"), (False, "False"), (2.5, "2.5"), (36.0, "36.0")):
+        with pytest.raises(ValueError, match=rf"^max_index must be an int, got {shown}$"):
+            equivalent_bruteforce(swap, swap, bound)
+
+
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_bruteforce_builds_each_kernel_once(rank, monkeypatch):
     built = []

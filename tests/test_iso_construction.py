@@ -100,13 +100,15 @@ def test_compose_shortcuts_match_reference(rank):
     # K = codomain(alpha) ∩ domain(beta) is codomain(alpha) when beta is an
     # automorphism, domain(beta) when alpha is one, and both for phi followed
     # by its inverse; a random pair of restrictions mostly takes neither.  A
-    # skipped pull-back keeps alpha's domain, a skipped fold beta's codomain.
+    # skipped pull-back keeps alpha's domain, a skipped fold beta's codomain,
+    # which beta, when built without one, folds here on this first read.
     rng = random.Random(rank)
     taken = {}
     for _ in range(12):
         phi, psi = random_restriction_iso(rng, rank), random_restriction_iso(rng, rank)
         aut = embed_aut(random_aut_images(rng, rank))
         for alpha, beta in ((phi, psi), (aut, phi), (phi, aut), (aut, aut), (phi, invert_iso(phi))):
+            assert beta.codomain.rank == rank
             composite = compose(alpha, beta)
             assert_same_iso(composite, compose_by_inversion(alpha, beta))
             k = intersect(alpha.codomain, beta.domain)
@@ -240,13 +242,113 @@ def test_over_cap_compose_and_transfer_are_refused_by_the_pull_back(monkeypatch)
 
 
 def test_constructor_rejects_rank_drop_as_make_iso_does():
-    # aab, b and a generate the whole group of rank 2, not a rank-3 subgroup
+    # aab, b and a generate the whole group of rank 2, not a rank-3 subgroup;
+    # _iso folds nothing, so the check comes when the codomain is read, and
+    # comes again on a second read, as nothing is cached
     domain = kernel_mod_p(2, (1, 0), 2)
     images = [parse_word(t) for t in ("aab", "b", "a")]
-    with pytest.raises(InvalidIsoError, match="rank drop: domain has rank 3 but codomain has rank 2"):
-        commensurator._iso(domain, images)
+    phi = commensurator._iso(domain, images)
+    for _ in range(2):
+        with pytest.raises(InvalidIsoError, match="rank drop: domain has rank 3 but codomain has rank 2"):
+            phi.codomain
     with pytest.raises(InvalidIsoError, match="rank drop: domain has rank 3 but codomain has rank 2"):
         make_iso(domain, whole_group(2), images)
+
+
+def test_a_chain_folds_no_codomain_until_it_is_read(monkeypatch):
+    # compose_many of eight links, an onto product, a restriction and a
+    # transfer build their maps with no fold; a codomain fold is told by
+    # its argument, the map's own images, which the check of the session
+    # fixture never hands to the module's from_generators
+    rng = random.Random(24)
+    links = [random_tiny_iso(rng, 2) for _ in range(8)]
+    aut = embed_aut(random_aut_images(rng, 2))
+    folded, built = [], []
+    fold, build = commensurator.from_generators, commensurator._iso
+
+    def spied_fold(rank, gens):
+        folded.append(gens)
+        return fold(rank, gens)
+
+    def spied_build(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(commensurator, "from_generators", spied_fold)
+    monkeypatch.setattr(commensurator, "_iso", spied_build)
+    chain = compose_many(links)
+    onto = compose(aut, links[0])
+    cut = restrict(chain, intersect(chain.domain, kernel_mod_p(2, (1, 1), 2)))
+    moved = transfer_to_subgroup(chain, kernel_mod_p(2, (0, 1), 2))
+
+    def codomain_folds():
+        return [gens for gens in folded if any(gens is phi.images for phi in built + links)]
+
+    assert len(built) == 10 and codomain_folds() == []
+    assert onto.domain.index() == links[0].domain.index() > 1
+    for phi in (chain, onto, cut, moved):
+        before = len(folded)
+        codomain = phi.codomain
+        assert len(folded) == before + 1 and folded[-1] is phi.images
+        assert phi.codomain is codomain and len(folded) == before + 1
+        assert codomain == fold(phi.rank, phi.images)
+
+
+def index_rule_maps(rng, rank):
+    """Maps of the kinds a chain is made of: a restriction of a random
+    automorphism, the identity of a kernel, and a chain of two links."""
+    p = rng.choice((2, 3, 5))
+    weights = [1] + [rng.randrange(p) for _ in range(rank - 1)]
+    rng.shuffle(weights)
+    return (
+        random_restriction_iso(rng, rank),
+        identity_iso(kernel_mod_p(rank, weights, p)),
+        compose_many([random_tiny_iso(rng, rank) for _ in range(2)]),
+    )
+
+
+@pytest.mark.parametrize("rank", (2, 3))
+def test_onto_by_index_matches_the_folded_codomains(rank):
+    # above rank 1 _codomain_index reads the domain's index; the onto
+    # decision it gives compose must be the one the folded codomain gives
+    rng = random.Random(10 + rank)
+    decided = set()
+    for _ in range(4):
+        maps = index_rule_maps(rng, rank) + index_rule_maps(rng, rank)
+        for alpha in maps:
+            assert commensurator._codomain_index(alpha) == from_generators(rank, alpha.images).index()
+            for beta in maps:
+                dom = alpha.domain._preimage(alpha.images, alpha._inverses, beta.domain)
+                rhs = alpha.domain.index() * beta.domain.index()
+                onto = commensurator._codomain_index(alpha) * dom.index() == rhs
+                assert onto == (alpha.codomain.index() * dom.index() == rhs)
+                decided.add(onto)
+                assert_same_iso(compose(alpha, beta), compose_by_inversion(alpha, beta))
+    assert decided == {True, False}
+
+
+def test_a_lazy_codomain_meets_the_cap_where_it_is_read(monkeypatch):
+    # σ⁵ (a → ab, b → a, five times) after the identity of an index-5
+    # kernel: the product keeps the kernel as its domain, under the cap of
+    # 20, but the fold of its images passes 20 live vertices on the way to
+    # its 5 and raises, with the message compose raised when it folded
+    images = [parse_word("a"), parse_word("b")]
+    for _ in range(5):
+        images = [concat(images[0], images[1]), images[0]]
+    k = kernel_mod_p(2, (1, 0), 5)
+    alpha, sigma = identity_iso(k), embed_aut(images)
+    monkeypatch.setenv("FREECOMM_INDEX_CAP", "20")
+    message = (
+        r"^from_generators: the folded graph would exceed the vertex cap \(20\) with 29 live "
+        r"vertices \(29 allocated\); raise FREECOMM_INDEX_CAP to allow larger graphs$"
+    )
+    for phi in (compose(alpha, sigma), restrict(sigma, k)):
+        assert phi.domain == k
+        for _ in range(2):
+            with pytest.raises(IndexCapError, match=message):
+                phi.codomain
+    monkeypatch.setenv("FREECOMM_INDEX_CAP", "29")
+    assert compose(alpha, sigma).codomain == restrict(sigma, k).codomain == k
 
 
 def test_builders_reject_infinite_index_as_make_iso_does():
