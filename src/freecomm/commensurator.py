@@ -383,9 +383,12 @@ def compute_extension(phi: PartialIso) -> Union[tuple[Word, ...], NoExtension]:
     extension exists.  The candidate is compared with the map on the
     domain's basis, read off the spanning tree (Subgroup._hom_on_basis),
     up to the first element where they differ.  Returns the generator
-    images of the unique extension, or a NoExtension certificate.
+    images of the unique extension, or a NoExtension certificate.  The
+    codomain's index is checked only when phi holds its codomain, which
+    is not folded for the check.
     """
-    if phi.domain.index() is math.inf or phi.codomain.index() is math.inf:
+    codomain = vars(phi).get("codomain")
+    if phi.domain.index() is math.inf or (codomain is not None and codomain.index() is math.inf):
         raise InvalidIsoError("extension analysis needs finite index on both sides")
     rank = phi.rank
     graph = phi.domain.graph
@@ -504,7 +507,11 @@ def transfer_to_overgroup(beta: PartialIso, h: Subgroup) -> PartialIso:
     to the ambient group of H.
 
     beta's ambient rank must equal the rank of H as a free group; its
-    words are read as products of basis(H) elements.
+    words are read as products of basis(H) elements.  The new domain,
+    domain(beta) with its basis lifted through basis(H), is the preimage
+    of domain(beta) under the map sending basis element i of H to the
+    letter i, so it is pulled back (Subgroup._preimage) and nothing is
+    folded.
     """
     h_basis = h.basis.elements
     if beta.rank != len(h_basis):
@@ -512,7 +519,7 @@ def transfer_to_overgroup(beta: PartialIso, h: Subgroup) -> PartialIso:
             f"the map is over rank {beta.rank} but H has basis size {len(h_basis)}"
         )
     _require_finite_index(h)
-    dom = from_generators(h.rank, beta.domain._hom_on_basis(h_basis))
+    dom = h._preimage(whole_group(beta.rank).basis.elements, [None] * beta.rank, beta.domain)
     images = []
     for b in dom.basis.elements:
         d = h.express_in_basis(b)

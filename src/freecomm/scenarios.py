@@ -322,7 +322,7 @@ class BSElement(Record):
 
 def bs_element(num: int, denom_exp: int, texp: int, k: int) -> BSElement:
     """Normalizing constructor; accepts negative denom_exp as k-powers."""
-    _require_ints("bs_element", k=k)
+    _require_ints("bs_element", num=num, denom_exp=denom_exp, texp=texp, k=k)
     if abs(k) < 2:
         raise ValueError(f"|k| must be at least 2, got {k}")
     if denom_exp < 0:

@@ -453,6 +453,7 @@ def express_over(rank: int, gens: Sequence[Word], w: Word) -> Optional[Word]:
 
 def witness_expresser(rank: int, gens: Sequence[Word]):
     """Reusable form of express_over for many words over one generating set."""
+    _require_ambient_rank(rank)
     fg = _build_bouquet(rank, list(gens), witness=True)
 
     def express(w: Word) -> Optional[Word]:
@@ -608,6 +609,8 @@ class Subgroup(Record):
     def _preimage(self, images: Sequence[Word], inverses: list, k: Subgroup) -> Subgroup:
         """The preimage of a finite-index K under the map sending basis
         element i to images[i-1]; inverses caches the inverse images.
+        compose and both transfers derive their domains here; an infinite
+        index K is refused first (InfiniteIndexError).
 
         The subgroup acts on the cosets of K through the map: crossing the
         i-th off-tree edge moves a coset along image i (back along its
@@ -620,6 +623,8 @@ class Subgroup(Record):
         holds every image, this subgroup is returned as it is, held to the
         cap as the walk would hold it.
         """
+        if not k.graph.is_cover():
+            raise InfiniteIndexError("pull-back: the subgroup pulled back has infinite index")
         g, trace = self.graph, k.graph.trace
 
         def too_big(count, cap):

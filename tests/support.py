@@ -582,6 +582,21 @@ def transfer_to_subgroup_by_inversion(alpha: PartialIso, h: Subgroup) -> Partial
     return make_iso(dom, from_generators(len(h_basis), images), images)
 
 
+def transfer_to_overgroup_by_fold(beta: PartialIso, h: Subgroup) -> PartialIso:
+    """transfer_to_overgroup as it built its domain before it pulled it back:
+    the basis of domain(beta), lifted through basis(H), is folded."""
+    h_basis = h.basis.elements
+    if beta.rank != len(h_basis):
+        raise RankMismatchError(
+            f"the map is over rank {beta.rank} but H has basis size {len(h_basis)}"
+        )
+    if h.index() is math.inf:
+        raise InvalidIsoError("domain and codomain must have finite index")
+    dom = from_generators(h.rank, [apply_hom(h_basis, b) for b in beta.domain.basis.elements])
+    images = [apply_hom(h_basis, apply(beta, h.express_in_basis(b))) for b in dom.basis.elements]
+    return make_iso(dom, from_generators(h.rank, images), images)
+
+
 # Reference core-graph routines: two tables per graph, out[v][label] and
 # inc[v][label], and a pass over edge sets that prunes hanging trees.  This
 # is how the library numbered, pruned and read its graphs before it kept one

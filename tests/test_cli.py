@@ -288,6 +288,21 @@ def test_a_codomain_past_the_cap_is_refused_when_the_document_is_written(tmp_pat
     assert invoke("iso", "restrict", sigma, "--to", kernel) == (2, "", "error: iso restrict: " + line)
 
 
+def test_a_lift_past_the_cap_is_refused_by_the_pull_back(tmp_path, monkeypatch):
+    # the Z/5 kernel of the free group on the 8-element basis of the Z/7
+    # kernel lifts to an index-35 subgroup of F_2
+    h = write_doc(tmp_path / "h7.json", graph_to_document(kernel_mod_p(2, (1, 0), 7).graph))
+    beta = identity_iso(kernel_mod_p(8, (1,) + (0,) * 7, 5))
+    lift = write_doc(tmp_path / "lift.json", iso_to_document(beta))
+    monkeypatch.setenv("FREECOMM_INDEX_CAP", "30")
+    assert invoke("iso", "transfer", lift, "--up", h) == (
+        2,
+        "",
+        "error: iso transfer: pull-back: the preimage of an index-5 subgroup in an index-7 "
+        "domain would exceed the vertex cap (30); raise FREECOMM_INDEX_CAP to allow larger graphs\n",
+    )
+
+
 def test_scenario_letters_are_held_to_the_letter_limit(monkeypatch):
     # rank 26 at p = 9973 passes the cap and primality, and would write
     # 25·9973² letters, tens of GB

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from freecomm import (
     DocumentError,
+    InfiniteIndexError,
     InvalidIsoError,
     NoExtension,
     NotInSubgroupError,
@@ -463,6 +464,38 @@ def test_transfer_and_extension_refuse_infinite_index():
     bare = PartialIso(thin, thin, thin.basis.elements)
     with pytest.raises(InvalidIsoError, match="extension analysis needs finite index on both sides"):
         compute_extension(bare)
+
+
+def test_the_pull_back_refuses_an_infinite_index_subgroup():
+    # thin's graph is no cover: tracing into it raised a bare TypeError
+    # (tuple indices must be integers or slices, not NoneType)
+    message = r"^pull-back: the subgroup pulled back has infinite index$"
+    thin = from_generators(2, [parse_word("a"), parse_word("baB")])
+    with pytest.raises(InfiniteIndexError, match=message):
+        compose(identity_iso(whole_group(2)), PartialIso(thin, thin, thin.basis.elements))
+    # and so does the lift of a map over such a domain, which make_iso refuses
+    thin3 = from_generators(3, [parse_word("a"), parse_word("baB")])
+    bare = PartialIso(thin3, thin3, thin3.basis.elements)
+    with pytest.raises(InfiniteIndexError, match=message):
+        transfer_to_overgroup(bare, kernel_mod_p(2, (1, 0), 2))
+
+
+def test_compute_extension_folds_only_its_candidates(monkeypatch):
+    # the map holds no codomain, so checking its index folds nothing: the
+    # one fold is the two candidate images
+    sigma = embed_aut([parse_word("ab"), parse_word("a")])
+    phi = restrict(sigma, kernel_mod_p(2, (1, 0), 7))
+    assert "codomain" not in vars(phi)
+    folds = []
+
+    def spied(rank, gens):
+        folds.append((rank, list(gens)))
+        return from_generators(rank, gens)
+
+    monkeypatch.setattr(commensurator, "from_generators", spied)
+    assert compute_extension(phi) == sigma.images
+    assert folds == [(2, list(sigma.images))]
+    assert "codomain" not in vars(phi)
 
 
 def test_compute_extension_obstruction():

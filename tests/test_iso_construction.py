@@ -1,10 +1,11 @@
 """Isomorphisms built by construction, against the validated reference calculus.
 
-The library builds compose, invert_iso and transfer_to_subgroup through the
+The library builds compose, invert_iso and both transfers through the
 private constructor _iso, and pulls a subgroup back through the action of
 the domain on its cosets.  tests/support.py keeps the calculus that
-validated every map with make_iso and inverted the whole map to pull a
-subgroup back; both must give the same domain, codomain and images.
+validated every map with make_iso, inverted the whole map to pull a
+subgroup back and folded the lifted basis of transfer_to_overgroup; both
+must give the same domain, codomain and images.
 """
 
 import random
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from freecomm import (
     IndexCapError,
     InvalidIsoError,
+    PartialIso,
     Subgroup,
     Word,
     compose,
@@ -37,6 +39,7 @@ from freecomm import (
     whole_group,
 )
 from freecomm import commensurator, stallings
+from freecomm.stallings import VERTEX_CAP_ENV
 from support import (
     compose_by_inversion,
     invert_iso_by_make_iso,
@@ -48,6 +51,7 @@ from support import (
     random_restriction_iso,
     random_small_domain,
     random_tiny_iso,
+    transfer_to_overgroup_by_fold,
     transfer_to_subgroup_by_inversion,
 )
 
@@ -211,6 +215,62 @@ def test_compose_and_transfer_build_no_intersection(seed, rank):
         assert_same_iso(phi, ref)
 
 
+def overgroup_transfer_case(rng):
+    """H, a random small domain or a Z/p kernel in rank 2 or 3, and beta, a
+    random restriction over the free group on basis(H)."""
+    rank = rng.choice((2, 3))
+    if rng.randrange(2):
+        h = random_small_domain(rng, rank)
+    else:
+        p = rng.choice((2, 3, 5, 7))
+        h = kernel_mod_p(rank, [1] + [rng.randrange(p) for _ in range(rank - 1)], p)
+    return h, random_restriction_iso(rng, len(h.basis.elements))
+
+
+@given(seeds)
+@settings(deadline=None, max_examples=25)
+def test_transfer_to_overgroup_matches_the_fold(seed):
+    # the lifted domain is pulled back, and no word is folded; under a cap
+    # the pull-back refuses exactly the lifts whose own graph passes it, and
+    # the fold, whose live vertices end as that graph, refuses them too
+    rng = random.Random(seed)
+    h, beta = overgroup_transfer_case(rng)
+    ref = transfer_to_overgroup_by_fold(beta, h)
+    folds, built = [], []
+
+    def spied(*args):
+        folds.append(args)
+        return from_generators(*args)
+
+    # _iso, the transfer's last step, is run once the spy is gone, as the
+    # session fixture's make_iso check folds the images' expressions
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(commensurator, "from_generators", spied)
+        mp.setattr(stallings, "from_generators", spied)
+        mp.setattr(commensurator, "_iso", lambda *args: built.append(args))
+        transfer_to_overgroup(beta, h)
+    assert folds == []
+    assert_same_iso(commensurator._iso(*built[0]), ref)
+    n = ref.domain.index()
+    cap = rng.randrange(max(1, n - 3), n + 3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(VERTEX_CAP_ENV, str(cap))
+        got = outcome(transfer_to_overgroup, beta, h)
+        folded = outcome(transfer_to_overgroup_by_fold, beta, h)
+    if n > cap:
+        assert got == (
+            IndexCapError,
+            f"pull-back: the preimage of an index-{beta.domain.index()} subgroup in an "
+            f"index-{h.index()} domain would exceed the vertex cap ({cap}); "
+            f"raise {VERTEX_CAP_ENV} to allow larger graphs",
+        )
+        assert folded[0] is IndexCapError
+    else:
+        assert got[0] is PartialIso
+        assert (got[1].domain, got[1].images) == (ref.domain, ref.images)
+        assert folded[0] is IndexCapError or folded[1] == ref
+
+
 def test_compose_is_held_only_to_the_graphs_it_builds(monkeypatch):
     # a -> a^150 then a^300 -> a: the pull-back of a^300 has index 2 and
     # the product is a^2 -> a, onto the whole group; the intersection
@@ -237,8 +297,20 @@ def test_over_cap_compose_and_transfer_are_refused_by_the_pull_back(monkeypatch)
         compose(alpha, beta)
     with pytest.raises(IndexCapError, match=message):
         transfer_to_subgroup(alpha, h)
+    # the Z/5 kernel of the free group on the 8-element basis of the Z/7
+    # kernel lifts to an index-35 subgroup of F_2; the identity of that
+    # free group lifts to the Z/7 kernel itself, held to the cap as it is
+    h7 = alpha.domain
+    lift = identity_iso(kernel_mod_p(8, (1,) + (0,) * 7, 5))
+    with pytest.raises(IndexCapError, match=message):
+        transfer_to_overgroup(lift, h7)
+    monkeypatch.setenv("FREECOMM_INDEX_CAP", "6")
+    with pytest.raises(IndexCapError, match=r"^pull-back: the preimage of an index-1 subgroup "
+                       r"in an index-7 domain would exceed the vertex cap \(6\)"):
+        transfer_to_overgroup(identity_iso(whole_group(8)), h7)
     monkeypatch.setenv("FREECOMM_INDEX_CAP", "35")
     assert compose(alpha, beta).domain.index() == 35
+    assert transfer_to_overgroup(lift, h7).domain.index() == 35
 
 
 def test_constructor_rejects_rank_drop_as_make_iso_does():

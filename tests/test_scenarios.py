@@ -81,7 +81,8 @@ def test_scenarios_refuse_a_modulus_that_is_not_an_int():
                 run(p)
     # and so are the other counts and parameters, before any arithmetic
     # (math.gcd, a tuple times a float and range() raised bare TypeErrors,
-    # and bs_element built an element with k=2.0)
+    # and bs_element built an element with k=2.0, or with denom_exp=0.5,
+    # which bs_mul then refused as a negative denominator exponent)
     calls = [
         ("kernel_swap", "rank", lambda x: kernel_swap(x, 3)),
         ("free_product_twist", "rank", lambda x: free_product_twist(x, 3)),
@@ -89,6 +90,9 @@ def test_scenarios_refuse_a_modulus_that_is_not_an_int():
         ("bs_report", "k", lambda x: bs_report(x, 3)),
         ("bs_report", "samples", lambda x: bs_report(2, 3, x)),
         ("bs_element", "k", lambda x: bs_element(1, 0, 0, x)),
+        ("bs_element", "num", lambda x: bs_element(x, 0, 0, 2)),
+        ("bs_element", "denom_exp", lambda x: bs_element(1, x, 0, 2)),
+        ("bs_element", "texp", lambda x: bs_element(1, 0, x, 2)),
         ("hnn_obstruction", "n", lambda x: hnn_obstruction(x, 2)),
         ("hnn_obstruction", "bound", lambda x: hnn_obstruction(3, x)),
         ("hnn_obstruction", "n", lambda x: hnn_report(x, 2)),
@@ -97,6 +101,8 @@ def test_scenarios_refuse_a_modulus_that_is_not_an_int():
         for x in (2.0, 3.0, True, "3"):
             with pytest.raises(ValueError, match=rf"^{op}: {name} must be an int, got {x!r}$"):
                 run(x)
+    with pytest.raises(ValueError, match=r"^bs_element: denom_exp must be an int, got 0\.5$"):
+        bs_element(1, 0.5, 0, 2)
 
 
 def test_kernel_swap_objects_revalidate():
@@ -143,7 +149,8 @@ def test_bs_element_normalization():
     assert bs_element(4, 2, 0, 2) == bs_element(1, 0, 0, 2)
     assert bs_element(6, 1, 2, 2) == bs_element(3, 0, 2, 2)
     assert bs_element(0, 3, 1, 5) == bs_element(0, 0, 1, 5)
-    with pytest.raises(ValueError):
+    assert bs_element(1, -2, 0, 3) == bs_element(9, 0, 0, 3)
+    with pytest.raises(ValueError, match=r"^\|k\| must be at least 2, got 1$"):
         bs_element(1, 0, 0, 1)
 
 

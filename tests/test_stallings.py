@@ -241,6 +241,10 @@ def test_constructions_refuse_a_rank_that_is_not_an_int():
         whole_group,
         lambda rank: from_generators(rank, [Word((1,))]),
         lambda rank: kernel_mod_p(rank, (1,), 3),
+        # the witness fold once took a rank of 0 or True, and a string rank
+        # raised a bare TypeError
+        lambda rank: witness_expresser(rank, [Word((1,))]),
+        lambda rank: express_over(rank, [Word((1,))], Word((1, 1))),
     )
     for build in builds:
         for rank in (True, 1.0, "1"):
