@@ -26,6 +26,7 @@ from .errors import (
     InvalidIsoError,
     NotInSubgroupError,
     RankMismatchError,
+    WorkLimitError,
 )
 from .record import Record
 from .stallings import (
@@ -214,7 +215,31 @@ def apply(phi: PartialIso, w: Word) -> Word:
 
 
 def invert_iso(phi: PartialIso) -> PartialIso:
-    """The inverse map, with basis images recovered by witness folding."""
+    """The inverse map, through the automorphism phi restricts when there is one.
+
+    If compute_extension finds A, which unique roots force, phi⁻¹ is A⁻¹
+    on codomain(phi) = A(domain): A is inverted over its r letters by
+    witness folding, the codomain, if phi does not hold it, is the
+    domain pulled back through A⁻¹, and the images are read off its
+    spanning tree (Subgroup._hom_on_basis).  Each is the reduced word of
+    a unique element, as on the general path, and phi's images are never
+    folded.  The general path witness folds the images and writes each
+    codomain basis element's expression over the domain's basis.  It is
+    taken on a NoExtension, and when a word of the first path passes the
+    letter limit, so only it refuses for the limit.
+    """
+    try:
+        extension = compute_extension(phi)
+        if not isinstance(extension, NoExtension):
+            r = phi.rank
+            express = witness_expresser(r, extension)
+            inverse = [express(Word((i,))) for i in range(1, r + 1)]
+            codomain = vars(phi).get("codomain")
+            if codomain is None:
+                codomain = whole_group(r)._preimage(inverse, [None] * r, phi.domain)
+            return _iso(codomain, codomain._hom_on_basis(inverse), phi.domain)
+    except WorkLimitError:
+        pass
     express = witness_expresser(phi.rank, phi.images)
     basis = phi.domain.basis.elements
     inverses = [None] * len(basis)

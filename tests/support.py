@@ -23,15 +23,18 @@ from freecomm import (
     WorkLimitError,
     apply,
     apply_hom,
+    compose_many,
     embed_aut,
     from_generators,
     concat,
+    conjugate,
     generator,
     intersect,
     invert,
     join,
     kernel_mod_p,
     make_iso,
+    power,
     restrict,
     rewrite_over_basis,
     subgroup_from_document,
@@ -177,6 +180,39 @@ def random_tiny_domain(rng: random.Random, rank: int) -> Subgroup:
 def random_tiny_iso(rng: random.Random, rank: int) -> PartialIso:
     aut = embed_aut(random_aut_images(rng, rank, num_moves=2))
     return restrict(aut, random_tiny_domain(rng, rank))
+
+
+def random_nonextending_iso(rng: random.Random, rank: int) -> PartialIso:
+    """A map that extends to no automorphism of F_rank, rank at least 2.
+
+    Its core is the kernel swap or the free product twist of the Z/p
+    kernel on the first generator a, p in (2, 3, 5), composed with a
+    random restriction before it, after it, on both sides or on neither.
+    The swap exchanges the basis elements a^p and b, so compute_extension
+    refuses it at its first root.  The twist conjugates by b every basis
+    element outside <a> and <b, ...>; its forced candidates are a and b,
+    which generate F, so it is refused late, where the basis is compared,
+    at the first twisted element.  The composite extends exactly when the
+    core does, as the restrictions extend.
+    """
+    p = rng.choice((2, 3, 5))
+    h = kernel_mod_p(rank, (1,) + (0,) * (rank - 1), p)
+    images = list(h.basis.elements)
+    if rng.randrange(2):
+        i, j = images.index(power(generator(1), p)), images.index(generator(2))
+        images[i], images[j] = images[j], images[i]
+    else:
+        images = [
+            w if len({abs(x) == 1 for x in w}) == 1 else conjugate(w, generator(2))
+            for w in images
+        ]
+    links = [make_iso(h, h, images)]
+    side = rng.randrange(4)
+    if side & 1:
+        links.insert(0, random_restriction_iso(rng, rank))
+    if side & 2:
+        links.append(random_restriction_iso(rng, rank))
+    return compose_many(links)
 
 
 def lattice_by_joins(h: Subgroup) -> tuple[list[Subgroup], int]:

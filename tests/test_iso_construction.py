@@ -16,11 +16,13 @@ from hypothesis import given, settings, strategies as st
 from freecomm import (
     IndexCapError,
     InvalidIsoError,
+    NoExtension,
     PartialIso,
     Subgroup,
     Word,
     compose,
     compose_many,
+    compute_extension,
     concat,
     embed_aut,
     from_generators,
@@ -37,8 +39,9 @@ from freecomm import (
     transfer_to_overgroup,
     transfer_to_subgroup,
     whole_group,
+    WorkLimitError,
 )
-from freecomm import commensurator, stallings
+from freecomm import commensurator, stallings, words
 from freecomm.stallings import VERTEX_CAP_ENV
 from support import (
     compose_by_inversion,
@@ -47,6 +50,7 @@ from support import (
     outcome,
     random_aut_images,
     random_cover,
+    random_nonextending_iso,
     random_nontrivial_word,
     random_restriction_iso,
     random_small_domain,
@@ -97,6 +101,92 @@ def test_benchmark_style_chains_match_reference(seed):
     round_trip = compose(phi, inverse)
     assert_same_iso(round_trip, compose_by_inversion(phi, inverse))
     assert is_identity_class(round_trip)
+
+
+@pytest.mark.parametrize("rank", (2, 3))
+def test_maps_that_do_not_extend_invert_as_the_witness_reference(rank):
+    # the general path of invert_iso, on swaps and twists composed with
+    # restrictions; refusals come at a root or, later, where the forced
+    # automorphism disagrees with the map on the basis
+    rng = random.Random(40 + rank)
+    refused = set()
+    for _ in range(30):
+        phi = random_nonextending_iso(rng, rank)
+        extension = compute_extension(phi)
+        assert isinstance(extension, NoExtension)
+        refused.add("no root" if extension.exponent else extension.reason)
+        assert_same_iso(invert_iso(phi), invert_iso_by_make_iso(phi))
+    late = "the forced candidate automorphism does not agree with the map on "
+    assert "no root" in refused and any(reason.startswith(late) for reason in refused), refused
+
+
+def seed_7_chain():
+    """Three seed-7 restrictions in rank 2, composed: the domain has index 60."""
+    rng = random.Random(7)
+    return compose_many([random_restriction_iso(rng, 2) for _ in range(3)])
+
+
+def test_an_extending_map_is_inverted_without_folding_its_images(monkeypatch):
+    # the witness fold of the 1,204 image letters passes a cap of 60 with 63
+    # live vertices; the inverse through the extension builds the codomain,
+    # of index 60, and no fold of phi's images, and leaves its codomain unread
+    phi, ref = seed_7_chain(), invert_iso_by_make_iso(seed_7_chain())
+    folded = []
+    build = stallings._build_bouquet
+
+    def spied(rank, gens, witness):
+        folded.extend(map(id, gens))
+        return build(rank, gens, witness)
+
+    monkeypatch.setattr(stallings, "_build_bouquet", spied)
+    monkeypatch.setenv(VERTEX_CAP_ENV, "60")
+    assert_same_iso(invert_iso(phi), ref)
+    assert "codomain" not in vars(phi) and not set(folded) & set(map(id, phi.images))
+    assert outcome(invert_iso_by_make_iso, phi) == (
+        IndexCapError,
+        "witness_expresser: the folded graph would exceed the vertex cap (60) with 63 live "
+        f"vertices (68 allocated); raise {VERTEX_CAP_ENV} to allow larger graphs",
+    )
+    monkeypatch.setenv(VERTEX_CAP_ENV, "59")
+    with pytest.raises(IndexCapError, match=r"^pull-back: the preimage of an index-60 subgroup "
+                       r"in an index-1 domain would exceed the vertex cap \(59\)"):
+        invert_iso(phi)
+
+
+@pytest.mark.parametrize(
+    "build, extension_letters, ours, theirs",
+    [
+        # the inverse through the extension writes at most 98 letters to a
+        # word, all of them in compute_extension; the witness path 212
+        (seed_7_chain, 98, 98, 212),
+        # refused at a root, after writing 1,272 letters for the image of
+        # a^30; below that the witness path, which writes at most 292
+        # letters to a word, is taken as it is
+        (lambda: random_nonextending_iso(random.Random(10), 2), 1272, 292, 292),
+    ],
+    ids=["extending", "not extending"],
+)
+def test_the_letter_limit_refuses_an_inverse_only_where_the_witness_path_does(
+    monkeypatch, build, extension_letters, ours, theirs
+):
+    # invert_iso fits under a letter limit from `ours` on, the witness path
+    # from `theirs` on and compute_extension from `extension_letters` on;
+    # when both paths are refused, they are refused with the same error
+    phi = build()
+    expected = invert_iso_by_make_iso(phi)
+    for limit in sorted({n - d for n in (extension_letters, ours, theirs) for d in (0, 1)}):
+        monkeypatch.setattr(words, "LETTER_LIMIT", limit)
+        got, ref = outcome(invert_iso, phi), outcome(invert_iso_by_make_iso, phi)
+        assert (got[0], ref[0]) == (
+            PartialIso if limit >= ours else WorkLimitError,
+            PartialIso if limit >= theirs else WorkLimitError,
+        )
+        if limit < ours:
+            assert got == ref
+        else:
+            assert_same_iso(got[1], expected)
+        extended = outcome(compute_extension, phi)[0] is not WorkLimitError
+        assert extended == (limit >= extension_letters)
 
 
 @pytest.mark.parametrize("rank", (2, 3))
