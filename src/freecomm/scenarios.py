@@ -249,8 +249,7 @@ def free_product_twist(rank: int, p: int, b: Optional[Word] = None) -> ScenarioR
     fixes H ∩ A and H ∩ B elementwise without being the identity class,
     so it extends to no ambient automorphism.
     """
-    if b is None:
-        b = Word((2,))
+    b = Word((2,) if b is None else b)
     # each twisted image gains b and its inverse
     h = _swap_kernel("free_product_twist", rank, p, 2 * len(b))
     a_sub = from_generators(rank, [Word((1,))])
@@ -264,8 +263,6 @@ def free_product_twist(rank: int, p: int, b: Optional[Word] = None) -> ScenarioR
     a_part = [w for w in basis if a_sub.contains(w)]
     b_part = [w for w in basis if b_sub.contains(w)]
     c_part = [w for w in basis if w not in a_part and w not in b_part]
-    if not c_part:
-        raise ValueError("degenerate parameters: no basis element lies outside A and B")
     images = [w if w in a_part or w in b_part else conjugate(w, b) for w in basis]
     twist = make_iso(h, h, images)
     extension = compute_extension(twist)

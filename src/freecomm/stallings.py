@@ -433,10 +433,11 @@ class _FoldGraph:
         return concat(Word(acc), invert(pb))
 
 
-def _build_bouquet(rank: int, gens: Sequence[Word], witness: bool) -> _FoldGraph:
+def _build_bouquet(rank: int, gens: Iterable[Word], witness: bool) -> _FoldGraph:
     fg = _FoldGraph("witness_expresser" if witness else "from_generators", witness)
     base = fg._grow(1)
     for i, g in enumerate(gens):
+        g = Word(g)
         _require_rank(g, rank, "generator")
         fg.add_loop(base, g, Word((i + 1,)) if witness else None)
     return fg
@@ -452,11 +453,12 @@ def express_over(rank: int, gens: Sequence[Word], w: Word) -> Optional[Word]:
 
 
 def witness_expresser(rank: int, gens: Sequence[Word]):
-    """Reusable form of express_over for many words over one generating set."""
+    """express_over, reusable for many words over one generating set; all checked as Words."""
     _require_ambient_rank(rank)
-    fg = _build_bouquet(rank, list(gens), witness=True)
+    fg = _build_bouquet(rank, gens, witness=True)
 
     def express(w: Word) -> Optional[Word]:
+        w = Word(w)
         _require_rank(w, rank, "word")
         return fg.express(0, w)
 
@@ -487,7 +489,7 @@ class Subgroup(Record):
 
     def contains(self, w: Word) -> bool:
         """Whether w lies in this subgroup; w is checked as a Word."""
-        w = w if isinstance(w, Word) else Word(w)
+        w = Word(w)
         _require_rank(w, self.rank, "word")
         return self.graph.trace(0, w) == 0
 
@@ -590,7 +592,7 @@ class Subgroup(Record):
         path that leaves the graph, or does not end at the basepoint, is
         refused for a letter past the rank first, then for membership.
         """
-        w = w if isinstance(w, Word) else Word(w)
+        w = Word(w)
         steps = self._tree[1]
         pos: Optional[int] = 0
         letters: list[int] = []
@@ -673,7 +675,6 @@ def whole_group(rank: int) -> Subgroup:
 def from_generators(rank: int, gens: Iterable[Word]) -> Subgroup:
     """Fold the given words into the core graph of the subgroup they generate."""
     _require_ambient_rank(rank)
-    gens = [g if isinstance(g, Word) else Word(g) for g in gens]
     return _component(rank, *_build_bouquet(rank, gens, witness=False).root_table(0))
 
 
@@ -759,7 +760,8 @@ def join(h: Subgroup, k: Subgroup) -> Subgroup:
 
 
 def conjugate_subgroup(h: Subgroup, g: Word) -> Subgroup:
-    """The subgroup g⁻¹·H·g."""
+    """The subgroup g⁻¹·H·g; g is checked as a Word."""
+    g = Word(g)
     _require_rank(g, h.rank, "word")
     t = h.graph.trace(0, g)
     if t is not None:

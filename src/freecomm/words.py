@@ -3,6 +3,8 @@
 A word is a tuple of nonzero integers: letter ``+i`` is the i-th generator
 (1-based), ``-i`` its inverse.  Construction reduces eagerly, so two words
 are equal in the free group exactly when they compare equal as sequences.
+Any sequence of nonzero ints is taken as a word, and Word() checks it; a
+Word, reduced when built and immutable, passes through Word() unchanged.
 
 Text form uses lowercase letters for generators and uppercase for their
 inverses, so ``"aBBa"`` is x·y⁻²·x; ``""`` and ``"1"`` both denote the
@@ -51,6 +53,8 @@ class Word(tuple):
     __slots__ = ()
 
     def __new__(cls, letters: Iterable[int] = ()):
+        if type(letters) is cls:  # reduced when built, and immutable
+            return letters
         stack: list[int] = []
         for a in letters:
             if type(a) is not int or a == 0:
@@ -95,7 +99,7 @@ def generator(i: int) -> Word:
 
 
 def max_generator(w: Sequence[int]) -> int:
-    """Largest generator index used in w (0 for the identity)."""
+    """Largest generator index among w's letters, read as given (0 for none)."""
     return max(map(abs, w), default=0)
 
 
@@ -131,17 +135,17 @@ def concat(u: Word, v: Word) -> Word:
 
 def invert(w: Word) -> Word:
     """Inverse word: reversed letters with flipped signs."""
-    letters = [-a for a in reversed(w)]
-    return tuple.__new__(Word, letters) if isinstance(w, Word) else Word(letters)
+    if not isinstance(w, Word):  # checked before a flip turns True into -1
+        w = Word(w)
+    return tuple.__new__(Word, [-a for a in reversed(w)])
 
 
 def cyclic_split(w: Word) -> tuple[Word, Word]:
-    """Split w = u⁻¹·c·u with c cyclically reduced; returns (u, c)."""
+    """Split w = u⁻¹·c·u, c cyclically reduced, w checked as a Word; returns (u, c)."""
+    w = Word(w)
     n, k = len(w), 0
     while n - 2 * k >= 2 and w[k] == -w[n - 1 - k]:
         k += 1
-    if not isinstance(w, Word):
-        return Word(w[n - k :]), Word(w[k : n - k])
     # the parts of a reduced word are reduced
     return tuple.__new__(Word, w[n - k :]), tuple.__new__(Word, w[k : n - k])
 
@@ -154,24 +158,22 @@ def power(w: Word, n: int) -> Word:
     """
     if not _is_int(n):
         raise WordError(f"exponent must be an int, got {n!r}")
-    if n == 0 or not w:
-        return EPSILON
     if n < 0:
         return power(invert(w), -n)
     u, c = cyclic_split(w)
+    if n == 0:
+        return EPSILON
     _require_letters_under_limit("power", 2 * len(u) + n * len(c))
-    return _around(u, tuple(c) * n, w)
+    return _around(u, tuple(c) * n)
 
 
-def _around(u: Word, core: tuple, w) -> Word:
-    """u⁻¹·core·u, for w = u⁻¹·c·u and a core that begins and ends as c does.
+def _around(u: Word, core: tuple) -> Word:
+    """u⁻¹·core·u, for (u, c) = cyclic_split(w) and a core that begins and ends as c does.
 
-    When w is a Word it is reduced and c cyclically reduced, so cⁿ and a
-    prefix of c that c repeats are reduced, and so are both seams, as in
-    w: the result is built as it stands.  Any other w is checked by Word.
+    c is cyclically reduced, so cⁿ and a prefix of c that c repeats are
+    reduced, and so are both seams, as in w: the result is built as it stands.
     """
-    letters = tuple(invert(u)) + core + tuple(u)
-    return tuple.__new__(Word, letters) if isinstance(w, Word) else Word(letters)
+    return tuple.__new__(Word, tuple(invert(u)) + core + tuple(u))
 
 
 def conjugate(w: Word, g: Word) -> Word:
@@ -180,7 +182,7 @@ def conjugate(w: Word, g: Word) -> Word:
 
 
 def nth_root(w: Word, n: int) -> Optional[Word]:
-    """The unique v with v**n == w, or None if no such word exists.
+    """The unique v with v**n == w, or None if none exists; w is checked as a Word.
 
     Uniqueness holds because free groups have unique roots.  The identity
     has itself as a root for every n, and every word is its own 1st root.
@@ -192,10 +194,6 @@ def nth_root(w: Word, n: int) -> Optional[Word]:
         raise WordError(f"root exponent must be an int, got {n!r}")
     if n < 1:
         raise WordError(f"root exponent must be >= 1, got {n}")
-    if not w:
-        return EPSILON
-    if n == 1:
-        return w
     u, c = cyclic_split(w)
     if len(c) % n != 0:
         return None
@@ -203,7 +201,7 @@ def nth_root(w: Word, n: int) -> Optional[Word]:
     piece = tuple(c)[:m]
     if tuple(c) != piece * n:
         return None
-    return _around(u, piece, w)
+    return _around(u, piece)
 
 
 # The most letters one word map (apply_hom, or commensurator.apply) may
@@ -285,13 +283,13 @@ def apply_hom(images: Sequence[Word], w: Word) -> Word:
     and so is each image it uses.  Raises WorkLimitError once the letters
     written pass LETTER_LIMIT.
     """
-    w = w if isinstance(w, Word) else Word(w)
+    w = Word(w)
     return _substitute(images, [None] * len(images), w)
 
 
 def abelianize(w: Word, rank: int) -> tuple[int, ...]:
     """Exponent-sum vector of w in Z^rank; w is checked as a Word."""
-    w = w if isinstance(w, Word) else Word(w)
+    w = Word(w)
     if not _is_int(rank):
         raise WordError(f"rank must be an int, got {rank!r}")
     if rank < 0:
@@ -312,6 +310,7 @@ def imprimitivity_certificate(w: Word, rank: int) -> Optional[int]:
     this check never certifies primitivity, and the zero vector (e.g. any
     commutator) is deliberately inconclusive.
     """
+    w = Word(w)
     if not w:
         raise WordError("the identity has no primitivity certificate")
     vec = abelianize(w, rank)

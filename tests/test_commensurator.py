@@ -507,6 +507,18 @@ def test_compute_extension_obstruction():
     assert "root" in verdict.reason
 
 
+def test_compute_extension_refuses_candidates_of_a_proper_subgroup():
+    # rank 1: a² -> a⁴ forces a -> a², which generates only <a²>
+    phi = make_iso(
+        from_generators(1, [parse_word("aa")]),
+        from_generators(1, [parse_word("aaaa")]),
+        [parse_word("aaaa")],
+    )
+    assert compute_extension(phi) == NoExtension(
+        "the forced candidate images do not generate the whole group"
+    )
+
+
 @given(seeds)
 @settings(deadline=None, max_examples=25)
 def test_compute_extension_recovers_random_automorphisms(seed):

@@ -206,6 +206,17 @@ def test_conjugation_transports_membership(seed, w, g):
     assert moved.contains(conjugate(w, g)) == h.contains(w)
 
 
+def test_conjugate_subgroup_when_g_leaves_the_graph():
+    # g is not a path of H's graph, so the conjugated basis is folded afresh
+    h = from_generators(2, [parse_word("aa"), parse_word("baB")])
+    g = parse_word("bba")
+    assert h.graph.trace(0, g) is None
+    moved = conjugate_subgroup(h, g)
+    assert all(moved.contains(conjugate(b, g)) for b in h.basis.elements)
+    assert all(h.contains(conjugate(b, invert(g))) for b in moved.basis.elements)
+    assert moved != h and moved.index() == math.inf
+
+
 def test_kernel_mod_p_examples():
     k = kernel_mod_p(2, (1, 0), 3)
     assert k.index() == 3

@@ -8,17 +8,26 @@ from hypothesis import given, settings, strategies as st
 
 from freecomm import (
     EPSILON,
+    FreecommError,
     RankMismatchError,
     Word,
     WordError,
     WorkLimitError,
     abelianize,
+    apply,
     apply_hom,
     concat,
     conjugate,
+    conjugate_subgroup,
     cyclic_split,
+    embed_aut,
+    express_over,
+    free_product_twist,
+    from_generators,
     imprimitivity_certificate,
     invert,
+    kernel_mod_p,
+    make_iso,
     nth_root,
     parse_word,
     power,
@@ -357,3 +366,123 @@ def test_word_to_text_identity():
 @given(words3)
 def test_text_round_trip(w):
     assert parse_word(word_to_text(w)) == w
+
+
+# ---------------------------------------------------------------------------
+# one door: every public entry that takes a word checks it with Word()
+
+_KERNEL = kernel_mod_p(2, (1, 0), 3)
+_SWAP_IMAGES = [parse_word(t) for t in ("aaa", "b", "abA", "Aba")]
+_SWAP = make_iso(_KERNEL, _KERNEL, _SWAP_IMAGES)
+_INFINITE = from_generators(2, [parse_word("aa"), parse_word("baB")])
+
+# public name (and what it is given) -> (call on a sequence s, a word the call accepts)
+BOUNDARY_ENTRIES = {
+    "abelianize": (lambda s: abelianize(s, 2), "aab"),
+    "apply_hom": (lambda s: apply_hom([parse_word("ab"), parse_word("B")], s), "abA"),
+    "apply_hom image": (lambda s: apply_hom([s, parse_word("b")], (1, -2, -1)), "ab"),
+    "concat": (lambda s: (concat(s, (2, 1)), concat((-1,), s)), "aB"),
+    "conjugate": (lambda s: (conjugate(s, (1,)), conjugate((2,), s)), "ab"),
+    "cyclic_split": (cyclic_split, "Abaa"),
+    "imprimitivity_certificate": (lambda s: imprimitivity_certificate(s, 2), "aaa"),
+    "invert": (invert, "aB"),
+    "nth_root": (lambda s: [nth_root(s, n) for n in (1, 2, 3)], "Ababaa"),
+    "power": (lambda s: [power(s, n) for n in (-2, 0, 3)], "Bab"),
+    "reduce": (lambda s: reduce(s, 2), "ab"),
+    "contains": (_KERNEL.contains, "abA"),
+    "express_in_basis": (_KERNEL.express_in_basis, "aaab"),
+    "express_over word": (lambda s: express_over(2, _SWAP_IMAGES, s), "abAb"),
+    "express_over generator": (lambda s: express_over(2, [s, (2,)], (2, 1, 1, -2)), "aa"),
+    "from_generators": (lambda s: from_generators(2, [s, (1, 1, 1)]), "b"),
+    "conjugate_subgroup": (lambda s: conjugate_subgroup(_INFINITE, s), "bba"),
+    "make_iso image": (lambda s: make_iso(_KERNEL, _KERNEL, [s, *_SWAP_IMAGES[1:]]), "aaa"),
+    "embed_aut image": (lambda s: embed_aut([s, (2,)]), "ab"),
+    "apply": (lambda s: apply(_SWAP, s), "aaab"),
+    "free_product_twist b": (lambda s: free_product_twist(2, 3, s), "b"),
+}
+# names in words.__all__ that take no word to check: a constant, the check
+# itself, a generator index, and the helpers that read letters as given
+WORDS_EXEMPT = {"EPSILON", "Word", "generator", "max_generator", "parse_word", "word_to_text"}
+
+_bases = st.builds(
+    lambda u, w, k: concat(concat(invert(u), power(w, k)), u),
+    words2,
+    words2,
+    st.integers(min_value=1, max_value=3),
+)
+
+
+@st.composite
+def _unreduced(draw, base: Word) -> list:
+    """Letters that Word reduces to base: cancelling pairs put in at random places."""
+    letters = list(base)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        i = draw(st.integers(min_value=0, max_value=len(letters)))
+        a = draw(st.sampled_from([1, -1, 2, -2]))
+        letters[i:i] = [a, -a]
+    return letters
+
+
+def _outcome(call, s):
+    try:
+        return "returned", call(s)
+    except (FreecommError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_ENTRIES))
+@given(data=st.data())
+@settings(deadline=None, max_examples=20)
+def test_every_word_entry_checks_its_input_as_a_word(name, data):
+    call, text = BOUNDARY_ENTRIES[name]
+    base = data.draw(st.one_of(st.just(parse_word(text)), _bases))
+    s = data.draw(_unreduced(base))
+    assert Word(s) == base
+    assert _outcome(call, s) == _outcome(call, base)
+    bad = data.draw(st.sampled_from([0, True, 1.5]))
+    i = data.draw(st.integers(min_value=0, max_value=len(s)))
+    with pytest.raises(WordError, match=r"^letters must be nonzero integers"):
+        call(s[:i] + [bad] + s[i:])
+
+
+def test_every_words_name_is_covered_or_exempt():
+    covered = {name.split()[0] for name in BOUNDARY_ENTRIES}
+    names = set(words.__all__)
+    assert names - covered - WORDS_EXEMPT == set()
+    assert WORDS_EXEMPT <= names and not WORDS_EXEMPT & covered
+
+
+def test_a_word_passes_through_word_unchanged():
+    w = parse_word("aBa")
+    assert Word(w) is w
+    assert Word((1, -2, 2, -2, 1)) == w
+
+
+def test_unreduced_sequences_get_the_answer_for_the_reduced_word(monkeypatch):
+    # each of these was traced as it stood: the old answer is on its right
+    root = nth_root((2, 1, 2, -2, -1), 1)
+    assert type(root) is Word and root == parse_word("b")  # (2, 1, 2, -2, -1)
+    assert nth_root((1, 5, 5, -1, 2, -2), 2) == Word((1, 5, -1))  # None
+    assert cyclic_split((1, -1, -1, -1)) == (EPSILON, parse_word("AA"))  # (A, AA)
+    assert cyclic_split((1, 5, -1, 2, -2)) == (parse_word("A"), parse_word("e"))  # (1, aeA)
+    assert express_over(2, [(1, -1, 2)], (2,)) == parse_word("a")  # None
+    assert express_over(2, [parse_word("aa"), parse_word("b")], (2, 1, 2, -2, -1)) == parse_word("b")  # None
+    report = free_product_twist(2, 3, (2, 2, -2))
+    assert report.parameters["b"] == "b" and report == free_product_twist(2, 3)  # "bbB"
+    monkeypatch.setattr(words, "LETTER_LIMIT", 8)
+    assert power((1, 5, -1, 2, -2), 3) == Word((1, 5, 5, 5, -1))  # refused for 9 letters
+
+
+def test_bad_letters_are_refused_at_every_entry():
+    for call in (
+        lambda: nth_root((1, 0), 1),  # returned (1, 0)
+        lambda: express_over(2, [(0,)], (1,)),  # None
+        lambda: express_over(2, [(True,)], (1,)),  # Word('a')
+        lambda: invert((True,)),  # Word('A'): the flip made True an int
+        lambda: power((True,), -1),  # Word('a')
+        lambda: power((0,), 0),  # EPSILON
+    ):
+        with pytest.raises(WordError, match=r"^letters must be nonzero integers"):
+            call()
+    with pytest.raises(ValueError, match=r"nontrivial member of the kernel's B-part, got '1'$"):
+        free_product_twist(2, 3, (2, -2))  # built a report whose checks failed
