@@ -6,19 +6,16 @@ graph: a based, edge-labeled digraph in which words trace paths (letter
 is "traces a closed loop at the basepoint".  Every walk reads one table:
 adj[v][a] is where the signed letter a leads from v, listed at each
 vertex in scan order +1, -1, +2, -2, ...  The folder keeps the same
-table on its union-find roots, and every half in it names a live root: a
-merge takes the dead root's halves and their mirrors out and puts each
-back at the live root, and merges are the only work it queues.  So
-folding walks the table the same way, and a finished fold hands it
-straight to the walk.  The graph is kept
-in canonical form (breadth-first numbering from the basepoint, in scan
-order), so two subgroups are equal exactly when their graphs compare
-equal.  One walk numbers every graph built here (a fold, a product of
-two graphs, the residues of a kernel, the blocks of a quotient, a
-document): it reads each state's letters in scan order, so it finds the
-states in canonical order and its rows are the table.  Only a graph with
-hanging trees is pruned and walked once more.  It is the package's one
-search: the block systems of a cover are its states too.  As the table
+table on its union-find roots (see _FoldGraph), so a finished fold hands
+it straight to the walk.  The graph is kept in canonical form
+(breadth-first numbering from the basepoint, in scan order), so two
+subgroups are equal exactly when their graphs compare equal.  One walk
+numbers every graph built here (a fold, a product of two graphs, the
+residues of a kernel, the blocks of a quotient, a document): it reads
+each state's letters in scan order, so it finds the states in canonical
+order and its rows are the table.  Only a graph with hanging trees is
+pruned and walked once more.  It is the package's one search: the block
+systems of a cover are its states too.  As the table
 is canonical, one pass over it, row by row, gives the spanning tree and
 the crossing table: the same table, with each half marked by the
 off-tree edge it crosses.  The free basis, basis expressions, the
@@ -306,7 +303,7 @@ class _FoldGraph:
     def _insert(self, u: int, a: int, v: int, aux: Optional[Word]) -> None:
         """Write the halves (u, a) and (v, -a) of an edge between roots; a
         slot that is taken queues a merge of its target with ours instead."""
-        back = invert(aux) if self.witness else None
+        back = invert(aux) if aux else aux  # EPSILON and None as they are
         for x, b, y, e in ((u, a, v, aux), (v, -a, u, back)):
             cur = self.adj[x].get(b)
             if cur is not None:
@@ -380,7 +377,7 @@ class _FoldGraph:
             nxt = first + k - i
             aux = (mid if k == i else EPSILON) if self.witness else None
             adj[pos][a] = (nxt, aux)
-            adj[nxt][-a] = (pos, invert(aux) if self.witness else None)
+            adj[nxt][-a] = (pos, invert(aux) if aux else aux)
             pos = nxt
         # the last edge goes through the folder, for that one case
         aux = (mid if j - i == 1 else EPSILON) if self.witness else None
@@ -770,13 +767,28 @@ def conjugate_subgroup(h: Subgroup, g: Word) -> Subgroup:
     return from_generators(h.rank, [conjugate(b, g) for b in h.basis.elements])
 
 
+def _translation(adj, t):
+    """Left translation by the coset at t: the automorphism of the cover
+    with canonical table adj that takes 0 to t, as a list read along the
+    table, or None when there is none (t's stabilizer is not 0's)."""
+    image = [t]
+    for u, row in enumerate(adj):
+        to = adj[image[u]]
+        for a, v in row.items():
+            if v == len(image):
+                image.append(to[a])
+            elif image[v] != to[a]:
+                return None
+    return image
+
+
 def is_normal(h: Subgroup) -> bool:
-    """Normality in the ambient group; requires finite index."""
+    """Normality in the ambient group; requires finite index.  H is normal
+    when each generator a has a left translation, as a⁻¹Ha is then H."""
     if not h.graph.is_cover():
         raise InfiniteIndexError("normality test needs finite index")
-    return all(
-        conjugate_subgroup(h, Word((i,))) == h for i in range(1, h.rank + 1)
-    )
+    adj = h.graph.adj
+    return all(_translation(adj, adj[0][l]) is not None for l in range(1, h.rank + 1))
 
 
 def kernel_mod_p(rank: int, weights: Sequence[int], p: int) -> Subgroup:
@@ -815,30 +827,32 @@ def _block_systems(graph: CoreGraph):
     """Every block system of the coset action of a finite-index subgroup.
 
     Label l permutes the n cosets (vertices) by v -> adj[v][l].  A system
-    labels every coset by the least member of its block, and the walk
-    starts from the finest one.  coarsen(P, v) is the finest system coarser
-    than P with 0 ~ v, by union-find closure (Atkinson, Math. Comp. 1975);
-    forward images suffice as each label is a bijection of a finite set.
-    Joining each system with one coset of each other class reaches every
-    system, since a block is the union of the minimal blocks of its members.
-    The join of S with v is abandoned once 0's class absorbs a class u
-    with 0 < u < v.  Nothing is lost: if B' is a block above S's 0-block
-    and v the least other S-class in B', the closure of 0 ~ v stays in B'
-    and is kept, so every system, and for each B < B' a join to some C
-    with B < C <= B', is still reached.
-    A system with a prime number c of classes needs one join only: the
-    action on its classes is transitive of prime degree, so primitive, and
-    no system lies strictly between it and the whole one.  An abandoned
-    join still runs up to O(n) steps, so this stays: index 2,003 took 2 s
-    with the abandon rule alone.
+    labels every coset by the least member of its block; the walk starts
+    from the finest one and joins each system with cosets v of its other
+    classes: the finest coarser system with 0 ~ v, abandoned if its
+    0-block holds a class u with 0 < u < v.  Any B < B' has classes in
+    B'∖B, and the join with the least, v, lies in B' and is kept; so every
+    system is reached, and each B < B' has a join to some C with B < C <=
+    B', which is all subindex needs.  When H is normal, the graph is the
+    Cayley graph of G = F/H, and a system is the cosets of its 0-block K.
+    If K is normal in G, the join with v is ⟨K, g_v⟩ <= B', its classes
+    the orbits of left translation by g_v on K's; each generator of
+    ⟨g_vK⟩ gives it, so the least v of each cyclic subgroup of G/K is
+    tried (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+    2005).  Otherwise coarsen closes 0 ~ v by union-find (Atkinson, Math.
+    Comp. 1975), and a system with a prime number of classes, primitive
+    on them, tries one v (index 2,003 took 2 s without this rule).
     Returns (systems, rows): rows[i] maps each class representative v of
     system i whose join was kept to the number of the system it joins
     into.  More systems than the vertex cap raise IndexCapError.
     """
     if not graph.is_cover():
         raise InfiniteIndexError("block systems need finite index")
-    n = graph.num_vertices
-    perms = [[graph.adj[v][l] for v in range(n)] for l in range(1, graph.rank + 1)]
+    adj, n = graph.adj, graph.num_vertices
+    perms = [[adj[v][l] for v in range(n)] for l in range(1, graph.rank + 1)]
+    shifts = [_translation(adj, s[0]) for s in perms]  # by the generators, if H is normal
+    # the letter from v back along the tree edge that finds it: the first half into v
+    back = {v: -a for row in reversed(adj) for a, v in reversed(row.items())}
 
     def coarsen(labels, v):
         parent = list(labels)
@@ -861,7 +875,33 @@ def _block_systems(graph: CoreGraph):
                 pairs.extend((s[x], s[y]) for s in perms)
         return tuple(map(find, range(n)))
 
+    def cyclic_joins(labels):
+        reps, done, out = sorted(set(labels)), set(), {}
+        for v in reps[1:]:
+            if v in done:
+                continue
+            image = [v] + [0] * (n - 1)  # left translation by g_v, on the classes
+            for r in reps[1:]:
+                b = back[r]
+                image[r] = labels[adj[image[labels[adj[r][b]]]][-b]]
+            orbit = [0]  # the cyclic subgroup of g_vK
+            while image[orbit[-1]]:
+                orbit.append(image[orbit[-1]])
+            done.update(x for k, x in enumerate(orbit) if math.gcd(k, len(orbit)) == 1)
+            if min(orbit[1:]) == v:
+                new = [None] * n
+                for r in reps:
+                    x = r
+                    while new[x] is None:
+                        new[x], x = r, image[x]
+                out[v] = tuple(map(new.__getitem__, labels))
+        return out
+
     def joins(labels):
+        if None not in shifts:
+            block = [x for x, c in enumerate(labels) if not c]
+            if all(len({labels[s[x]] for x in block}) == 1 for s in shifts):  # aK = Ka
+                return cyclic_joins(labels)
         others = set(labels) - {0}
         if _is_prime(len(others) + 1):
             others = {min(others)}
@@ -900,9 +940,8 @@ def subindex(h: Subgroup) -> int:
     A minimax path weight over the overgroup interval, which suffices
     because any chain can be intersected down into it.  Overgroups are the
     blocks B of the base coset, and K <= K' is B <= B' with [K' : K] =
-    |B'|/|B|.  The joins of the enumeration are enough edges: if B < B',
-    then B' is a union of classes of B's system, so joining one of them
-    gives a block C with B < C <= B', and the chain built so has every
+    |B'|/|B|.  The joins of _block_systems are enough edges: each B < B'
+    has one to a block C with B < C <= B', so the chain built so has every
     step at most |B'|/|B|.  One pass in order of size, relaxing along the
     joins, settles each block from the smaller ones.
     """

@@ -320,8 +320,9 @@ def imprimitivity_certificate(w: Word, rank: int) -> Optional[int]:
     return d if d > 1 else None
 
 
-_ORD_A_LOWER = ord("a")
-_ORD_A_UPPER = ord("A")
+# signed letter -> its character, for the 26 generators that text supports
+_TEXT = {s * i: chr(ord(c) + i - 1) for i in range(1, 27) for s, c in ((1, "a"), (-1, "A"))}
+_LETTERS = {c: a for a, c in _TEXT.items()}
 
 
 def parse_word(text: str, rank: Optional[int] = None) -> Word:
@@ -335,30 +336,25 @@ def parse_word(text: str, rank: Optional[int] = None) -> Word:
     text = text.strip()
     if text in ("", "1"):
         return EPSILON
-    letters = []
-    for ch in text:
-        if "a" <= ch <= "z":
-            letters.append(ord(ch) - _ORD_A_LOWER + 1)
-        elif "A" <= ch <= "Z":
-            letters.append(-(ord(ch) - _ORD_A_UPPER + 1))
-        else:
-            raise WordError(f"invalid character {ch!r} in word {text!r}")
+    try:
+        letters = [_LETTERS[ch] for ch in text]
+    except KeyError as exc:
+        raise WordError(f"invalid character {exc.args[0]!r} in word {text!r}") from None
     return reduce(letters, rank)
 
 
 def word_to_text(w: Word) -> str:
-    """Inverse of parse_word; the identity prints as "1"."""
-    if not w:
-        return "1"
-    if max_generator(w) > 26:
-        raise WordError("text form supports at most 26 generators")
-    out = []
-    for a in w:
-        if a > 0:
-            out.append(chr(_ORD_A_LOWER + a - 1))
-        else:
-            out.append(chr(_ORD_A_UPPER - a - 1))
-    return "".join(out)
+    """Inverse of parse_word, the letters read as given (not reduced); the
+    identity prints as "1".  A letter that Word() refuses, or one past the
+    26th generator, raises WordError."""
+    if type(w) is not Word:  # a Word's letters were checked when it was built
+        for a in w:
+            if type(a) is not int or a == 0:
+                raise WordError(f"letters must be nonzero integers, got {a!r}")
+    try:
+        return "".join(map(_TEXT.__getitem__, w)) or "1"
+    except KeyError:
+        raise WordError("text form supports at most 26 generators") from None
 
 
 def _quoted(w: Word) -> str:

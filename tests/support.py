@@ -93,6 +93,24 @@ def random_cover(rng: random.Random, rank: int, index: int) -> Subgroup:
     return subgroup_from_document(doc)
 
 
+def permutation_cayley_document(gens: Sequence[Sequence[int]]) -> dict:
+    """The graph document of the permutation group the given permutations
+    generate, acting on itself by right multiplication: one vertex per
+    element, the identity at 0, and the l-labeled edge g -> g·s_l, the
+    permutation that applies g and then s_l.  Its subgroup is the kernel of
+    F_rank onto that group, so it is normal and its action is regular."""
+    identity = tuple(range(len(gens[0])))
+    number, elements, edges = {identity: 0}, [identity], []
+    for g in elements:  # grows while it is read
+        for l, s in enumerate(gens, start=1):
+            h = tuple(s[i] for i in g)
+            if h not in number:
+                number[h] = len(elements)
+                elements.append(h)
+            edges.append([number[g], number[h], l])
+    return {"rank": len(gens), "basepoint": 0, "edges": edges}
+
+
 def abelian_kernel(moduli: Sequence[int]) -> Subgroup:
     """Kernel of F_k -> Z/m_1 x ... x Z/m_k sending generator i to the i-th
     unit vector, for the k moduli given."""
@@ -919,9 +937,12 @@ def overgroups_by_quotient_edges(h: Subgroup) -> list[Subgroup]:
 # read the walk of block systems and its joins.
 
 
+@lru_cache(maxsize=4)
 def block_systems_by_queue(graph: CoreGraph) -> dict:
     """Every block system of the coset action: the block of the base coset
-    to the labelling of all cosets by the least member of their block."""
+    to the labelling of all cosets by the least member of their block.
+    Kept for the last graphs read, as each of the three lattice references
+    reads it; callers do not change the dict."""
     n = graph.num_vertices
     perms = [[graph.adj[v][l] for v in range(n)] for l in range(1, graph.rank + 1)]
 

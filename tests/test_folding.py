@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freecomm import (
+    EPSILON,
     IndexCapError,
     Word,
     apply_hom,
@@ -19,6 +20,7 @@ from freecomm import (
     kernel_mod_p,
     witness_expresser,
 )
+from freecomm.stallings import _FoldGraph
 from support import (
     expresser_by_letters,
     from_generators_by_letters,
@@ -30,6 +32,18 @@ from support import (
 def assert_expresses(gens, expr, w):
     assert expr is not None
     assert apply_hom(gens, expr) == w
+
+
+def test_a_petal_shares_the_empty_witness_of_its_middle_edges():
+    # only the first edge of a petal carries its witness, and the rest carry
+    # the empty word both ways, one object rather than one per letter
+    fg = _FoldGraph("test", witness=True)
+    fg.add_loop(fg._grow(1), Word((1, 2) * 50), Word((1,)))
+    halves = [w for row in fg.adj for _, w in row.values()]
+    assert len(halves) == 200
+    assert sorted(map(len, halves)).count(0) == 198
+    assert all(w is EPSILON for w in halves if not w)
+    assert fg.express(0, Word((1, 2) * 50)) == Word((1,))
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6))

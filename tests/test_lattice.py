@@ -14,20 +14,23 @@ from freecomm import (
     InfiniteIndexError,
     from_generators,
     intersect,
+    is_normal,
     join,
     kernel_mod_p,
     overgroups,
     parse_word,
+    subgroup_from_document,
     subindex,
     whole_group,
 )
-from freecomm.stallings import _block_systems
+from freecomm.stallings import _block_systems, _is_prime
 from support import (
     abelian_kernel,
     block_systems_by_queue,
     join_by_wedge,
     lattice_by_joins,
     overgroups_by_quotient_edges,
+    permutation_cayley_document,
     random_cover,
     random_word,
     subindex_by_subset_tests,
@@ -58,9 +61,12 @@ def assert_matches_queue_reference(h):
     systems, rows = _block_systems(h.graph)
     assert len(set(systems)) == len(systems)
     assert set(systems) == set(block_systems_by_queue(h.graph).values())
-    # each join goes to a strictly coarser system
+    # each join goes to a strictly coarser system, and is kept only from
+    # the least class other than 0's that the coarser 0-block holds
     for labels, row in zip(systems, rows):
-        assert all(systems[j].count(0) > labels.count(0) for j in row.values())
+        for v, j in row.items():
+            assert systems[j].count(0) > labels.count(0)
+            assert v == min(c for c, d in zip(labels, systems[j]) if c and not d)
     assert subindex(h) == subindex_by_subset_tests(h)
     assert overgroups(h) == overgroups_by_quotient_edges(h)
 
@@ -80,6 +86,37 @@ def test_abelian_kernels_match_queue_reference(moduli):
 def test_cyclic_kernels_match_queue_reference():
     for p in range(2, 61):
         assert_matches_queue_reference(kernel_mod_p(2, (1, 0), p))
+
+
+@pytest.mark.parametrize("n", [360, 720])
+def test_cyclic_kernels_at_composite_index_match_queue_reference(n):
+    # Z/n has d(n) subgroups, and each has one join per cyclic subgroup of
+    # its quotient
+    assert_matches_queue_reference(kernel_mod_p(2, (1, 0), n))
+
+
+# (order, generating permutations) of groups with a non-abelian quotient
+PERMUTATION_GROUPS = {
+    "S3": (6, [(1, 0, 2), (1, 2, 0)]),
+    "D4": (8, [(1, 2, 3, 0), (3, 2, 1, 0)]),
+    "D5": (10, [(1, 2, 3, 4, 0), (4, 3, 2, 1, 0)]),
+    "A4": (12, [(1, 2, 0, 3), (0, 2, 3, 1)]),
+    "S4": (24, [(1, 2, 3, 0), (1, 0, 2, 3)]),
+    "D6": (12, [(1, 2, 3, 4, 5, 0), (5, 4, 3, 2, 1, 0)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PERMUTATION_GROUPS))
+def test_regular_actions_of_nonabelian_groups_match_queue_reference(name):
+    order, gens = PERMUTATION_GROUPS[name]
+    h = subgroup_from_document(permutation_cayley_document(gens))
+    assert h.index() == order and is_normal(h)
+    # an overgroup is normal exactly when its 0-block is normal in the
+    # quotient; some are not, so one walk joins by both rules
+    assert {is_normal(k) for k in overgroups(h)} == {True, False}
+    assert_matches_queue_reference(h)
+    # and met with a kernel onto Z/6, still a regular action
+    assert_matches_queue_reference(intersect(h, kernel_mod_p(2, (1, 1), 6)))
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6))
@@ -113,12 +150,15 @@ def assert_block_system(graph, labels):
 
 
 def test_composite_index_abandons_joins_to_smaller_classes():
-    # Z/2018 acts regularly, so its block systems are its four subgroups.
-    # The trivial system keeps one join per coarser system, the least coset
-    # of its block, not all 2,017; the other two have a prime number of
-    # classes and join once each
+    # Z/2018 acts regularly, so its block systems are its four subgroups,
+    # all normal: each is joined by left translation, once per cyclic
+    # subgroup of its quotient.  The trivial system keeps one join per
+    # coarser system, the least coset of its block, not all 2,017; the other
+    # two have a prime number of classes and join once each
     h = kernel_mod_p(2, (1, 0), 2018)
+    start = time.perf_counter()
     systems, rows = _block_systems(h.graph)
+    assert time.perf_counter() - start < 0.5  # union-find closures take seconds
     assert sum(map(len, rows)) == 5
     assert sorted(labels.count(0) for labels in systems) == [1, 2, 1009, 2018]
     for labels in systems:
@@ -128,6 +168,21 @@ def test_composite_index_abandons_joins_to_smaller_classes():
     assert subindex(h) == 509
     assert [g.index() for g in overgroups(h)] == [1, 2, 509, 1018]
     assert time.perf_counter() - start < 3
+
+
+def test_action_that_is_not_regular_abandons_joins_to_smaller_classes():
+    # the stabiliser of a point of S3 on three points is not normal, nor is
+    # its meet with a kernel onto Z/60, so every system is joined by
+    # union-find closures, and the abandon rule keeps fewer joins than the
+    # classes it tries (one for a prime number of classes)
+    edges = [[0, 1, 1], [1, 0, 1], [2, 2, 1], [0, 1, 2], [1, 2, 2], [2, 0, 2]]
+    point_stabiliser = subgroup_from_document({"rank": 2, "basepoint": 0, "edges": edges})
+    h = intersect(point_stabiliser, kernel_mod_p(2, (1, 1), 60))
+    assert h.index() == 180 and not is_normal(h)
+    systems, rows = _block_systems(h.graph)
+    tried = sum(1 if _is_prime(len(set(labels))) else len(set(labels)) - 1 for labels in systems)
+    assert sum(map(len, rows)) < tried
+    assert_matches_queue_reference(h)
 
 
 def test_prime_index_joins_once():

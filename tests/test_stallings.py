@@ -191,6 +191,19 @@ def test_point_stabilizer_not_normal():
     assert moved.index() == 3
 
 
+@given(st.integers(min_value=0, max_value=10 ** 6))
+@settings(deadline=None, max_examples=60)
+def test_is_normal_matches_conjugation_by_the_generators(seed):
+    # normal exactly when each generator conjugates H to itself: covers of
+    # small index, a kernel onto Z/m, which is normal, and their meet
+    rng = random.Random(seed)
+    rank = rng.choice((2, 3))
+    cover = random_cover(rng, rank, rng.randrange(1, 9))
+    kernel = kernel_mod_p(rank, [1] + [rng.randrange(6) for _ in range(rank - 1)], rng.randrange(2, 9))
+    for h in (cover, kernel, intersect(cover, kernel)):
+        assert is_normal(h) == all(conjugate_subgroup(h, (i,)) == h for i in range(1, rank + 1))
+
+
 def test_is_normal_needs_finite_index():
     with pytest.raises(InfiniteIndexError):
         is_normal(from_generators(2, [parse_word("aa")]))

@@ -118,6 +118,24 @@ def test_words_from_reduced_parts_match_full_reduction(w, g, n, m):
         assert power(root, m) == w
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [(0, "letters must be nonzero"), (True, "letters must be nonzero"), (1.5, "letters must be nonzero"),
+     (27, "at most 26 generators"), (-27, "at most 26 generators")],
+)
+def test_word_to_text_refuses_a_bad_letter(bad, message):
+    for letters in ((bad,), (1, bad), [2, -2, bad]):
+        with pytest.raises(WordError, match=message):
+            word_to_text(letters)
+
+
+def test_word_to_text_reads_the_letters_as_given():
+    assert word_to_text((1, -1, 2, 26, -26)) == "aAbzZ"
+    assert word_to_text([3, -2, 2]) == "cBb"
+    assert word_to_text(()) == word_to_text(EPSILON) == "1"
+    assert word_to_text(Word((1, 2, -2, -3))) == "aC"
+
+
 def test_unreduced_inputs_take_the_validating_path():
     with pytest.raises(WordError):
         concat((1,), (0,))
