@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, reduce as _functools_reduce
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
     DocumentError,
@@ -91,17 +91,28 @@ class PartialIso(Record):
     make_iso (and embed_aut, iso_from_document), which validate their
     input at the boundary, and by _iso inside the library, where the
     images are correct by construction, and fold into a codomain when
-    it is first read if _iso was not given one.
+    it is first read if _iso was not given one.  A map that restricts an
+    automorphism A the library knows keeps A's generator images as the
+    entry _aut, which is no field; its images are A on the domain's
+    basis, read off the spanning tree when they are first read.
     """
 
-    def __init__(self, domain: Subgroup, codomain: Optional[Subgroup], images: tuple[Word, ...]):
-        self.__dict__.update(domain=domain, images=images)
+    def __init__(self, domain: Subgroup, codomain: Optional[Subgroup],
+                 images: Optional[tuple[Word, ...]]):
+        self.__dict__["domain"] = domain
         if codomain is not None:
             self.__dict__["codomain"] = codomain
+        if images is not None:
+            self.__dict__["images"] = images
 
     @property
     def rank(self) -> int:
         return self.domain.rank
+
+    @cached_property
+    def images(self) -> tuple[Word, ...]:
+        """The held automorphism on the domain's basis (Subgroup._hom_on_basis)."""
+        return tuple(self.domain._hom_on_basis(self._aut))
 
     @cached_property
     def codomain(self) -> Subgroup:
@@ -180,21 +191,24 @@ def _require_finite_index(h: Subgroup) -> None:
         raise InvalidIsoError("domain and codomain must have finite index")
 
 
-def _iso(
-    domain: Subgroup, images: Sequence[Word], codomain: Optional[Subgroup] = None
-) -> PartialIso:
+def _iso(domain: Subgroup, images: Optional[Sequence[Word]], codomain: Optional[Subgroup] = None,
+         aut: Optional[tuple[Word, ...]] = None) -> PartialIso:
     """A PartialIso built inside the library, correct by construction.
 
     The caller guarantees that both sides have finite index and that the
     codomain, when given, is the subgroup the images generate; otherwise
     the images are folded when the codomain is first read.  The map onto
     it is an isomorphism exactly when the ranks agree (free groups are
-    hopfian), so that is the one check, made here or at that read.
+    hopfian), so that is the one check, made here or at that read.  With
+    aut, the generator images of an automorphism A, the map is A on the
+    domain, which it holds, and images may be None until they are read.
     """
-    images = tuple(images)
     if codomain is not None:
-        _require_equal_rank(len(images), codomain)
-    return PartialIso(domain=domain, codomain=codomain, images=images)
+        _require_equal_rank(_free_rank(domain), codomain)
+    phi = PartialIso(domain, codomain, None if images is None else tuple(images))
+    if aut is not None:
+        phi.__dict__["_aut"] = aut
+    return phi
 
 
 def identity_iso(h: Subgroup) -> PartialIso:
@@ -217,27 +231,30 @@ def apply(phi: PartialIso, w: Word) -> Word:
 def invert_iso(phi: PartialIso) -> PartialIso:
     """The inverse map, through the automorphism phi restricts when there is one.
 
-    If compute_extension finds A, which unique roots force, phi⁻¹ is A⁻¹
-    on codomain(phi) = A(domain): A is inverted over its r letters by
-    witness folding, the codomain, if phi does not hold it, is the
-    domain pulled back through A⁻¹, and the images are read off its
-    spanning tree (Subgroup._hom_on_basis).  Each is the reduced word of
-    a unique element, as on the general path, and phi's images are never
-    folded.  The general path witness folds the images and writes each
-    codomain basis element's expression over the domain's basis.  It is
-    taken on a NoExtension, and when a word of the first path passes the
-    letter limit, so only it refuses for the limit.
+    phi⁻¹ is A⁻¹ on codomain(phi) = A(domain) for the A that phi holds,
+    or that compute_extension finds (unique roots force it).  A is
+    inverted over its r letters by witness folding, and the codomain, if
+    phi does not hold it, is the domain pulled back through A⁻¹.  The
+    inverse holds A⁻¹; its images, the reduced words of unique elements
+    as on the general path, are read off its domain's spanning tree when
+    first read, or at once for a found A, so that a word past the letter
+    limit there, or in compute_extension, leads to the general path.
+    That path, also taken on a NoExtension, witness folds phi's images
+    and writes each codomain basis element's expression over the
+    domain's basis; only it refuses for the limit.
     """
+    held = vars(phi).get("_aut")
     try:
-        extension = compute_extension(phi)
+        extension = held or compute_extension(phi)
         if not isinstance(extension, NoExtension):
             r = phi.rank
             express = witness_expresser(r, extension)
-            inverse = [express(Word((i,))) for i in range(1, r + 1)]
+            inverse = tuple(express(Word((i,))) for i in range(1, r + 1))
             codomain = vars(phi).get("codomain")
             if codomain is None:
                 codomain = whole_group(r)._preimage(inverse, [None] * r, phi.domain)
-            return _iso(codomain, codomain._hom_on_basis(inverse), phi.domain)
+            images = None if held else tuple(codomain._hom_on_basis(inverse))
+            return _iso(codomain, images, phi.domain, inverse)
     except WorkLimitError:
         pass
     express = witness_expresser(phi.rank, phi.images)
@@ -256,7 +273,9 @@ def compose(alpha: PartialIso, beta: PartialIso) -> PartialIso:
 
     Defined on the preimage of domain(beta) under alpha, which alpha maps
     onto K = codomain(alpha) ∩ domain(beta); K itself is never built.
-    Two cases skip work:
+    When both maps hold automorphisms A and B, the preimage is pulled
+    back through A one letter at a time, and the product holds B∘A, its
+    images unbuilt.  Otherwise two cases skip work:
 
     - alpha's images lie in domain(beta): the preimage is domain(alpha),
       with no walk, and its images are alpha.images as they stand;
@@ -268,13 +287,21 @@ def compose(alpha: PartialIso, beta: PartialIso) -> PartialIso:
       all that is left.  Above rank 1 no codomain is read (_codomain_index).
     """
     _require_same_rank(alpha, beta)
-    dom = alpha.domain._preimage(alpha.images, alpha._inverses, beta.domain)
-    if dom is alpha.domain:
-        middle = alpha.images
+    a, b = vars(alpha).get("_aut"), vars(beta).get("_aut")
+    images = aut = None
+    if a and b:
+        inverses = [None] * len(b)
+        dom = alpha.domain._preimage(a, list(inverses), beta.domain, letters=True)
+        aut = tuple(_substitute(b, inverses, w) for w in a)
     else:
-        middle = [apply(alpha, b) for b in dom.basis.elements]
+        dom = alpha.domain._preimage(alpha.images, alpha._inverses, beta.domain)
+        if dom is alpha.domain:
+            middle = alpha.images
+        else:
+            middle = [apply(alpha, w) for w in dom.basis.elements]
+        images = [apply(beta, w) for w in middle]
     onto = _codomain_index(alpha) * dom.index() == alpha.domain.index() * beta.domain.index()
-    return _iso(dom, [apply(beta, w) for w in middle], vars(beta).get("codomain") if onto else None)
+    return _iso(dom, images, vars(beta).get("codomain") if onto else None, aut)
 
 
 def _codomain_index(phi: PartialIso) -> int:
@@ -283,11 +310,13 @@ def _codomain_index(phi: PartialIso) -> int:
     return phi.domain.index() if phi.rank > 1 else phi.codomain.index()
 
 
-def compose_many(isos: Sequence[PartialIso]) -> PartialIso:
-    """Left-to-right composition of a non-empty sequence."""
-    if not isos:
+def compose_many(isos: Iterable[PartialIso]) -> PartialIso:
+    """Left-to-right composition of a non-empty iterable."""
+    isos = iter(isos)
+    first = next(isos, None)
+    if first is None:
         raise ValueError("compose_many needs at least one map")
-    return _functools_reduce(compose, isos)
+    return _functools_reduce(compose, isos, first)
 
 
 def equivalent(alpha: PartialIso, beta: PartialIso) -> bool:
@@ -359,7 +388,8 @@ def equivalent_bruteforce(alpha: PartialIso, beta: PartialIso, max_index: int) -
 
 
 def restrict(phi: PartialIso, k: Subgroup) -> PartialIso:
-    """The same map with its domain cut down to K <= domain."""
+    """The same map with its domain cut down to K <= domain.  A held
+    automorphism is kept, and nothing is applied until the images are read."""
     _require_same_rank(k, phi)
     for b in k.basis.elements:
         if not phi.domain.contains(b):
@@ -368,6 +398,8 @@ def restrict(phi: PartialIso, k: Subgroup) -> PartialIso:
                 f"({_quoted(b)} escapes)"
             )
     _require_finite_index(k)
+    if aut := vars(phi).get("_aut"):
+        return _iso(k, None, None, aut)
     return _iso(k, [apply(phi, b) for b in k.basis.elements])
 
 
@@ -376,7 +408,7 @@ def embed_aut(images: Sequence[Word]) -> PartialIso:
 
     The domain and codomain are the whole group; images must define an
     automorphism (their fold is the whole group; hopfian gives
-    injectivity).
+    injectivity).  The map holds them as its automorphism.
     """
     images = tuple(Word(w) for w in images)
     rank = len(images)
@@ -389,12 +421,16 @@ def embed_aut(images: Sequence[Word]) -> PartialIso:
         raise InvalidIsoError(
             "images do not generate the whole group, so this is not an automorphism"
         )
-    return _iso(rose, images, rose)
+    return _iso(rose, images, rose, images)
 
 
 def is_identity_class(phi: PartialIso) -> bool:
     """Whether the map is equivalent to the identity.  They agree on the
-    intersection of their domains, phi's own, when phi fixes its basis."""
+    intersection of their domains, phi's own, when phi fixes its basis,
+    or, when phi holds an automorphism, when that fixes the generators
+    (unique roots: A(g)^m = g^m forces A(g) = g)."""
+    if aut := vars(phi).get("_aut"):
+        return all(w == (i,) for i, w in enumerate(aut, 1))
     return phi.images == phi.domain.basis.elements
 
 
@@ -408,13 +444,16 @@ def compute_extension(phi: PartialIso) -> Union[tuple[Word, ...], NoExtension]:
     extension exists.  The candidate is compared with the map on the
     domain's basis, read off the spanning tree (Subgroup._hom_on_basis),
     up to the first element where they differ.  Returns the generator
-    images of the unique extension, or a NoExtension certificate.  The
-    codomain's index is checked only when phi holds its codomain, which
-    is not folded for the check.
+    images of the unique extension, or a NoExtension certificate; a map
+    that holds its automorphism returns it.  The codomain's index is
+    checked only when phi holds its codomain, which is not folded for
+    the check.
     """
     codomain = vars(phi).get("codomain")
     if phi.domain.index() is math.inf or (codomain is not None and codomain.index() is math.inf):
         raise InvalidIsoError("extension analysis needs finite index on both sides")
+    if aut := vars(phi).get("_aut"):
+        return aut
     rank = phi.rank
     graph = phi.domain.graph
     candidates = []

@@ -605,7 +605,9 @@ class Subgroup(Record):
             raise NotInSubgroupError(f"{_quoted(w)} is not in the subgroup")
         return tuple.__new__(Word, letters)
 
-    def _preimage(self, images: Sequence[Word], inverses: list, k: Subgroup) -> Subgroup:
+    def _preimage(
+        self, images: Sequence[Word], inverses: list, k: Subgroup, letters: bool = False
+    ) -> Subgroup:
         """The preimage of a finite-index K under the map sending basis
         element i to images[i-1]; inverses caches the inverse images.
         compose and both transfers derive their domains here; an infinite
@@ -613,14 +615,17 @@ class Subgroup(Record):
 
         The subgroup acts on the cosets of K through the map: crossing the
         i-th off-tree edge moves a coset along image i (back along its
-        inverse), and a tree edge leaves it in place.  The preimage is the
+        inverse), and a tree edge leaves it in place.  With letters, images
+        are those of the ambient generators, and every half-edge under a
+        moves a coset along the image of a.  The preimage is the
         stabilizer of K's base coset, so its graph is the component of
         (0, 0) in the product of this graph with that action: the walk of
         intersect, with the second coordinate twisted.  K's graph is a
         cover, so K need not hold the images, and when a leads from (v, c)
         to (w, d), -a leads back: that is recorded, not traced.  When K
-        holds every image, this subgroup is returned as it is, held to the
-        cap as the walk would hold it.
+        holds every image, or the preimage has this subgroup's index, this
+        subgroup is returned as it is, held to the cap as the walk would
+        hold it.
         """
         if not k.graph.is_cover():
             raise InfiniteIndexError("pull-back: the subgroup pulled back has infinite index")
@@ -649,12 +654,14 @@ class Subgroup(Record):
             for a, (w, i) in steps[v].items():
                 d = back.pop((v, a, c), None)
                 if d is None:
+                    i = a if letters else i
                     d = trace(c, images[i - 1] if i > 0 else inverses[-i - 1]) if i else c
                     back[w, -a, d] = c
                 row[a] = (w, d)
             return row
 
-        return _component(self.rank, (0, 0), step, too_big)
+        pre = _component(self.rank, (0, 0), step, too_big)
+        return self if pre.index() == g.num_vertices else pre
 
     def coset_representatives(self) -> tuple[Word, ...]:
         """Spanning-tree transversal words, one per vertex, in canonical order."""
@@ -840,8 +847,10 @@ def _block_systems(graph: CoreGraph):
     ⟨g_vK⟩ gives it, so the least v of each cyclic subgroup of G/K is
     tried (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
     2005).  Otherwise coarsen closes 0 ~ v by union-find (Atkinson, Math.
-    Comp. 1975), and a system with a prime number of classes, primitive
-    on them, tries one v (index 2,003 took 2 s without this rule).
+    Comp. 1975).  A system with a prime number of classes, primitive on
+    them, tries one v by coarsen before either (index 2,003 took 2 s
+    without this rule), so the translations are built only for a system
+    with a composite number of classes.
     Returns (systems, rows): rows[i] maps each class representative v of
     system i whose join was kept to the number of the system it joins
     into.  More systems than the vertex cap raise IndexCapError.
@@ -850,9 +859,7 @@ def _block_systems(graph: CoreGraph):
         raise InfiniteIndexError("block systems need finite index")
     adj, n = graph.adj, graph.num_vertices
     perms = [[adj[v][l] for v in range(n)] for l in range(1, graph.rank + 1)]
-    shifts = [_translation(adj, s[0]) for s in perms]  # by the generators, if H is normal
-    # the letter from v back along the tree edge that finds it: the first half into v
-    back = {v: -a for row in reversed(adj) for a, v in reversed(row.items())}
+    shifts = back = None  # built on first use: a prime number of classes needs neither
 
     def coarsen(labels, v):
         parent = list(labels)
@@ -898,13 +905,20 @@ def _block_systems(graph: CoreGraph):
         return out
 
     def joins(labels):
-        if None not in shifts:
-            block = [x for x, c in enumerate(labels) if not c]
-            if all(len({labels[s[x]] for x in block}) == 1 for s in shifts):  # aK = Ka
-                return cyclic_joins(labels)
+        nonlocal shifts, back
         others = set(labels) - {0}
         if _is_prime(len(others) + 1):
             others = {min(others)}
+        elif others:
+            if shifts is None:
+                # the translations by the generators, if H is normal, and the letter
+                # from v back along the tree edge that finds it: the first half into v
+                shifts = [_translation(adj, s[0]) for s in perms]
+                back = {v: -a for row in reversed(adj) for a, v in reversed(row.items())}
+            if None not in shifts:
+                block = [x for x, c in enumerate(labels) if not c]
+                if all(len({labels[s[x]] for x in block}) == 1 for s in shifts):  # aK = Ka
+                    return cyclic_joins(labels)
         return {v: s for v in others if (s := coarsen(labels, v))}
 
     return _walk(

@@ -20,31 +20,42 @@ def validate_internal_isos():
     than the error the library would raise, so the wrapper only checks
     and never changes what a test sees.
 
-    A map built without a codomain folds it when it is first read.  The
-    check folds its own copy, with the fold it took when the session
-    began, so the map's cache stays empty and a spy set later on
-    from_generators sees no codomain fold for the check.  When that fold or its
-    rank check raises, the map is left unchecked: the same error is the
-    one the first read raises.
+    A map built without a codomain folds it when it is first read, and a
+    map that holds an automorphism A builds its images when they are
+    first read.  The check builds its own copies, with the fold it took
+    when the session began, so the map's caches stay empty and a spy set
+    later on from_generators sees no codomain fold for the check.  When
+    that fold, its rank check or the images raise, the map is left
+    unchecked: the same error is the one the first read raises.  For a
+    map that holds A, compute_extension of the rebuilt map, which holds
+    nothing, must find A by its roots and basis comparison.
     """
     built = commensurator._iso
     fold = stallings.from_generators
+    extension = commensurator.compute_extension
 
-    def checked(domain, images, codomain=None):
-        phi = built(domain, images, codomain)
-        if codomain is None:
-            try:
-                codomain = fold(domain.rank, phi.images)
-                commensurator._require_equal_rank(len(phi.images), codomain)
-            except FreecommError:
-                return phi
+    def checked(domain, images, codomain=None, aut=None):
+        phi = built(domain, images, codomain, aut)
         try:
-            rebuilt = commensurator.make_iso(phi.domain, codomain, phi.images)
+            if images is None:
+                images = tuple(domain._hom_on_basis(aut))
+            if codomain is None:
+                codomain = fold(domain.rank, images)
+                commensurator._require_equal_rank(len(images), codomain)
+        except FreecommError:
+            return phi
+        try:
+            rebuilt = commensurator.make_iso(phi.domain, codomain, images)
         except FreecommError as exc:
             raise AssertionError(f"_iso accepted what make_iso rejects: {exc}") from exc
-        assert (rebuilt.domain, rebuilt.images) == (phi.domain, phi.images), (
+        assert (rebuilt.domain, rebuilt.images) == (phi.domain, vars(phi).get("images", images)), (
             "_iso and make_iso built different maps"
         )
+        if aut is not None:
+            found, error = _outcome(extension, rebuilt)
+            assert isinstance(error, FreecommError) or found == aut, (
+                "the held automorphism is not the one compute_extension finds"
+            )
         return phi
 
     commensurator._iso = checked

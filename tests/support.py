@@ -42,6 +42,7 @@ from freecomm import (
     witness_expresser,
     words,
 )
+from freecomm import commensurator
 from freecomm.stallings import VERTEX_CAP_ENV, vertex_cap
 from freecomm.words import _quoted
 
@@ -231,6 +232,12 @@ def random_nonextending_iso(rng: random.Random, rank: int) -> PartialIso:
     if side & 2:
         links.append(random_restriction_iso(rng, rank))
     return compose_many(links)
+
+
+def keeping_images(phi: PartialIso) -> PartialIso:
+    """phi, built as the library built maps before they held automorphisms:
+    it keeps its images and the codomain phi holds, and no automorphism."""
+    return commensurator._iso(phi.domain, phi.images, vars(phi).get("codomain"))
 
 
 def lattice_by_joins(h: Subgroup) -> tuple[list[Subgroup], int]:

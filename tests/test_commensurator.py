@@ -148,7 +148,8 @@ def test_apply_refuses_as_the_expression_path_does(seed, data):
     if all(type(a) is int and a for a in letters):
         kinds.append(Word)
     w = data.draw(st.sampled_from(kinds))(letters)
-    written = sum(len(phi.images[abs(i) - 1]) for i in Word(a for a in expr if a))
+    images = phi.images  # a restriction builds them on this first read, under the default limit
+    written = sum(len(images[abs(i) - 1]) for i in Word(a for a in expr if a))
     limit = data.draw(st.sampled_from([None, 0, written - 1, written, written + 1]))
     with pytest.MonkeyPatch.context() as mp:
         if limit is not None:
@@ -482,10 +483,13 @@ def test_the_pull_back_refuses_an_infinite_index_subgroup():
 
 def test_compute_extension_folds_only_its_candidates(monkeypatch):
     # the map holds no codomain, so checking its index folds nothing: the
-    # one fold is the two candidate images
+    # one fold is the two candidate images; the restriction of the same
+    # automorphism holds it, and compute_extension returns it with no fold
     sigma = embed_aut([parse_word("ab"), parse_word("a")])
-    phi = restrict(sigma, kernel_mod_p(2, (1, 0), 7))
-    assert "codomain" not in vars(phi)
+    k = kernel_mod_p(2, (1, 0), 7)
+    phi = restrict(make_iso(sigma.domain, sigma.codomain, sigma.images), k)
+    held = restrict(sigma, k)
+    assert "codomain" not in vars(phi) and "_aut" not in vars(phi)
     folds = []
 
     def spied(rank, gens):
@@ -495,7 +499,8 @@ def test_compute_extension_folds_only_its_candidates(monkeypatch):
     monkeypatch.setattr(commensurator, "from_generators", spied)
     assert compute_extension(phi) == sigma.images
     assert folds == [(2, list(sigma.images))]
-    assert "codomain" not in vars(phi)
+    assert compute_extension(held) is sigma.images and len(folds) == 1
+    assert "codomain" not in vars(phi) and not {"codomain", "images"} & set(vars(held))
 
 
 def test_compute_extension_obstruction():
@@ -646,8 +651,12 @@ def test_compose_many_chains():
     swap = kernel_swap_iso()
     triple = compose_many([swap, swap, swap])
     assert equivalent(triple, swap)
-    with pytest.raises(ValueError):
-        compose_many([])
+    assert compose_many(iter([swap, swap, swap])) == triple
+    assert compose_many(swap for _ in range(3)) == triple
+    assert compose_many(iter([swap])) is swap
+    for empty in ([], (), iter([]), (swap for _ in range(0))):
+        with pytest.raises(ValueError, match="^compose_many needs at least one map$"):
+            compose_many(empty)
 
 
 def test_iso_document_round_trip():

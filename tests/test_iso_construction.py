@@ -8,6 +8,7 @@ subgroup back and folded the lifted basis of transfer_to_overgroup; both
 must give the same domain, codomain and images.
 """
 
+import json
 import random
 
 import pytest
@@ -20,6 +21,8 @@ from freecomm import (
     PartialIso,
     Subgroup,
     Word,
+    apply,
+    apply_hom,
     compose,
     compose_many,
     compute_extension,
@@ -31,6 +34,7 @@ from freecomm import (
     invert_iso,
     is_identity_class,
     invert,
+    iso_to_document,
     join,
     kernel_mod_p,
     make_iso,
@@ -46,12 +50,14 @@ from freecomm.stallings import VERTEX_CAP_ENV
 from support import (
     compose_by_inversion,
     invert_iso_by_make_iso,
+    keeping_images,
     make_iso_by_contains_and_fold,
     outcome,
     random_aut_images,
     random_cover,
     random_nonextending_iso,
     random_nontrivial_word,
+    random_word,
     random_restriction_iso,
     random_small_domain,
     random_tiny_iso,
@@ -129,8 +135,11 @@ def seed_7_chain():
 def test_an_extending_map_is_inverted_without_folding_its_images(monkeypatch):
     # the witness fold of the 1,204 image letters passes a cap of 60 with 63
     # live vertices; the inverse through the extension builds the codomain,
-    # of index 60, and no fold of phi's images, and leaves its codomain unread
-    phi, ref = seed_7_chain(), invert_iso_by_make_iso(seed_7_chain())
+    # of index 60, and no fold of phi's images, and leaves its codomain unread,
+    # both when phi holds the automorphism and when compute_extension finds it
+    ref = invert_iso_by_make_iso(seed_7_chain())
+    held = seed_7_chain()
+    maps = (held, keeping_images(held))  # each keeps its images alive, so no id is reused
     folded = []
     build = stallings._build_bouquet
 
@@ -139,26 +148,30 @@ def test_an_extending_map_is_inverted_without_folding_its_images(monkeypatch):
         return build(rank, gens, witness)
 
     monkeypatch.setattr(stallings, "_build_bouquet", spied)
-    monkeypatch.setenv(VERTEX_CAP_ENV, "60")
-    assert_same_iso(invert_iso(phi), ref)
-    assert "codomain" not in vars(phi) and not set(folded) & set(map(id, phi.images))
-    assert outcome(invert_iso_by_make_iso, phi) == (
-        IndexCapError,
-        "witness_expresser: the folded graph would exceed the vertex cap (60) with 63 live "
-        f"vertices (68 allocated); raise {VERTEX_CAP_ENV} to allow larger graphs",
-    )
-    monkeypatch.setenv(VERTEX_CAP_ENV, "59")
-    with pytest.raises(IndexCapError, match=r"^pull-back: the preimage of an index-60 subgroup "
-                       r"in an index-1 domain would exceed the vertex cap \(59\)"):
-        invert_iso(phi)
+    for phi in maps:
+        folded.clear()  # the two maps share their image words, which the reference folds
+        monkeypatch.setenv(VERTEX_CAP_ENV, "60")
+        assert_same_iso(invert_iso(phi), ref)
+        assert "codomain" not in vars(phi) and not set(folded) & set(map(id, phi.images))
+        assert outcome(invert_iso_by_make_iso, phi) == (
+            IndexCapError,
+            "witness_expresser: the folded graph would exceed the vertex cap (60) with 63 live "
+            f"vertices (68 allocated); raise {VERTEX_CAP_ENV} to allow larger graphs",
+        )
+        monkeypatch.setenv(VERTEX_CAP_ENV, "59")
+        with pytest.raises(IndexCapError, match=r"^pull-back: the preimage of an index-60 subgroup "
+                           r"in an index-1 domain would exceed the vertex cap \(59\)"):
+            invert_iso(phi)
 
 
 @pytest.mark.parametrize(
     "build, extension_letters, ours, theirs",
     [
         # the inverse through the extension writes at most 98 letters to a
-        # word, all of them in compute_extension; the witness path 212
-        (seed_7_chain, 98, 98, 212),
+        # word, all of them in compute_extension; the witness path 212.  The
+        # chain holds its automorphism, so compute_extension of it writes
+        # nothing: the map that keeps its images finds it by its roots
+        (lambda: keeping_images(seed_7_chain()), 98, 98, 212),
         # refused at a root, after writing 1,272 letters for the image of
         # a^30; below that the witness path, which writes at most 292
         # letters to a word, is taken as it is
@@ -187,6 +200,124 @@ def test_the_letter_limit_refuses_an_inverse_only_where_the_witness_path_does(
             assert_same_iso(got[1], expected)
         extended = outcome(compute_extension, phi)[0] is not WorkLimitError
         assert extended == (limit >= extension_letters)
+
+
+# Maps that hold an automorphism A (embed_aut's, their restrictions, their
+# products and inverses) against twins that make_iso builds from their images,
+# which keep them, hold no automorphism and take the general path.
+
+
+def held_chain(seed):
+    """Restricted automorphisms of rank 2 or 3, in a chain of random_tiny_iso or
+    random_restriction_iso links, or in rank 2 mixed with a map that extends
+    to none."""
+    rng = random.Random(seed)
+    rank, kind = 2 + seed % 2, seed % 3
+    if kind == 0:
+        return [random_tiny_iso(rng, rank) for _ in range(2 + seed % 3)]
+    if kind == 1:
+        return [random_restriction_iso(rng, rank) for _ in range(1 + seed % (5 - rank))]
+    links = [random_nonextending_iso(rng, 2), random_tiny_iso(rng, 2)]
+    rng.shuffle(links)
+    return links
+
+
+def twins(links):
+    return [make_iso(phi.domain, phi.codomain, phi.images) for phi in links]
+
+
+def calculus_results(links, k, other):
+    """The chain's product, its restriction to k, its inverse, its products
+    with a link and with the inverse, and both products with other, a map
+    that keeps its images."""
+    phi, fresh = compose_many(links), compose_many(links)
+    inverse = invert_iso(phi)
+    return [
+        phi,
+        restrict(phi, k),
+        inverse,
+        compose(links[0], phi),
+        compose(phi, inverse),
+        compose(inverse, phi),
+        compose(other, fresh),
+        compose(fresh, other),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_maps_that_hold_an_automorphism_match_their_make_iso_twins(seed):
+    links, ref_links = held_chain(seed), twins(held_chain(seed))
+    rank, held = links[0].rank, seed % 3 != 2
+    k = intersect(compose_many(ref_links).domain, kernel_mod_p(rank, (1,) + (0,) * (rank - 1), 2))
+    got = calculus_results(links, k, ref_links[-1])
+    want = calculus_results(ref_links, k, ref_links[-1])
+    rng = random.Random(seed)
+    for i, (phi, ref) in enumerate(zip(got, want)):
+        # a map that holds A builds no images until they are read; the
+        # automorphism and the identity test do not read them.  Products
+        # with a map that keeps its images take the general path.
+        lazy = held and i < 6
+        assert lazy == ("_aut" in vars(phi)) == ("images" not in vars(phi))
+        assert outcome(compute_extension, phi) == outcome(compute_extension, ref)
+        assert is_identity_class(phi) == is_identity_class(ref) == (i in (4, 5))
+        assert ("images" not in vars(phi)) == lazy
+        assert phi == ref and hash(phi) == hash(ref)
+        assert_same_iso(phi, ref)
+        assert json.dumps(iso_to_document(phi)) == json.dumps(iso_to_document(ref))
+        basis = phi.domain.basis.elements
+        products = tuple(apply_hom(basis, random_word(rng, len(basis))) for _ in range(3))
+        for w in basis[:3] + products:
+            assert apply(phi, w) == apply(ref, w)
+
+
+def chain_pipeline(links):
+    """iso-chain's calls on a chain, and the documents of its product and inverse."""
+    phi = compose_many(links)
+    inverse = invert_iso(phi)
+    return is_identity_class(compose(phi, inverse)), iso_to_document(phi), iso_to_document(inverse)
+
+
+def pipeline_outcomes(seed):
+    """chain_pipeline's outcome on held_chain(seed), and on the chain's maps
+    as the library built them before they held automorphisms."""
+    twins = [keeping_images(phi) for phi in held_chain(seed)]
+    return outcome(chain_pipeline, held_chain(seed)), outcome(chain_pipeline, twins)
+
+
+@pytest.mark.parametrize("seed, cap", [(0, 7), (1, 20), (5, 13), (7, 33), (11, 63)])
+def test_maps_that_hold_an_automorphism_meet_the_cap_where_their_twins_do(monkeypatch, seed, cap):
+    # the least cap at which the pipeline runs, on both chains: the
+    # pull-backs walk as many states on either path, and the folds fold the
+    # same words, so below it both are refused with the same message
+    monkeypatch.setenv(VERTEX_CAP_ENV, str(cap - 1))
+    got, ref = pipeline_outcomes(seed)
+    assert got == ref and got[0] is IndexCapError
+    monkeypatch.setenv(VERTEX_CAP_ENV, str(cap))
+    got, ref = pipeline_outcomes(seed)
+    assert got == ref and got[0] is tuple
+
+
+@pytest.mark.parametrize(
+    "seed, ours, theirs",
+    [(0, 12, 44), (1, 13, 69), (4, 20, 90), (7, 22, 128), (5, 110, 110), (11, 105, 105)],
+)
+def test_maps_that_hold_an_automorphism_refuse_for_the_letter_limit_only_where_their_twins_do(
+    monkeypatch, seed, ours, theirs
+):
+    # the least letter limit at which the pipeline runs on the held chain
+    # (ours) and on its twins (theirs, the parent's figure): a held chain
+    # writes no word of compute_extension and builds only the images that
+    # are read, each off a spanning tree.  Chains mixed with a map that
+    # extends to none (seeds 5 and 11) take the general path.
+    assert ours <= theirs
+    for limit in sorted({ours - 1, ours, theirs - 1, theirs}):
+        monkeypatch.setattr(words, "LETTER_LIMIT", limit)
+        got, ref = pipeline_outcomes(seed)
+        assert (got[0], ref[0]) == (
+            tuple if limit >= ours else WorkLimitError,
+            tuple if limit >= theirs else WorkLimitError,
+        )
+        assert got == ref or limit < theirs
 
 
 @pytest.mark.parametrize("rank", (2, 3))
