@@ -241,7 +241,7 @@ def invert_iso(phi: PartialIso) -> PartialIso:
     limit there, or in compute_extension, leads to the general path.
     That path, also taken on a NoExtension, witness folds phi's images
     and writes each codomain basis element's expression over the
-    domain's basis; only it refuses for the limit.
+    domain's basis; invert_iso refuses for the limit only where it does.
     """
     held = vars(phi).get("_aut")
     try:

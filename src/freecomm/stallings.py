@@ -616,16 +616,15 @@ class Subgroup(Record):
         The subgroup acts on the cosets of K through the map: crossing the
         i-th off-tree edge moves a coset along image i (back along its
         inverse), and a tree edge leaves it in place.  With letters, images
-        are those of the ambient generators, and every half-edge under a
-        moves a coset along the image of a.  The preimage is the
+        are those of the generators, and every half-edge under a, tree
+        edges included, moves a coset along the image of a.  The preimage is the
         stabilizer of K's base coset, so its graph is the component of
         (0, 0) in the product of this graph with that action: the walk of
         intersect, with the second coordinate twisted.  K's graph is a
         cover, so K need not hold the images, and when a leads from (v, c)
         to (w, d), -a leads back: that is recorded, not traced.  When K
         holds every image, or the preimage has this subgroup's index, this
-        subgroup is returned as it is, held to the cap as the walk would
-        hold it.
+        subgroup is returned as it is, held to the cap as the walk would hold it.
         """
         if not k.graph.is_cover():
             raise InfiniteIndexError("pull-back: the subgroup pulled back has infinite index")
@@ -848,9 +847,8 @@ def _block_systems(graph: CoreGraph):
     tried (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
     2005).  Otherwise coarsen closes 0 ~ v by union-find (Atkinson, Math.
     Comp. 1975).  A system with a prime number of classes, primitive on
-    them, tries one v by coarsen before either (index 2,003 took 2 s
-    without this rule), so the translations are built only for a system
-    with a composite number of classes.
+    them, tries one v by coarsen first (index 2,003 took 2 s without
+    this rule), and needs none of the translations, built on first use.
     Returns (systems, rows): rows[i] maps each class representative v of
     system i whose join was kept to the number of the system it joins
     into.  More systems than the vertex cap raise IndexCapError.
@@ -859,7 +857,7 @@ def _block_systems(graph: CoreGraph):
         raise InfiniteIndexError("block systems need finite index")
     adj, n = graph.adj, graph.num_vertices
     perms = [[adj[v][l] for v in range(n)] for l in range(1, graph.rank + 1)]
-    shifts = back = None  # built on first use: a prime number of classes needs neither
+    shifts = back = None
 
     def coarsen(labels, v):
         parent = list(labels)
@@ -910,9 +908,8 @@ def _block_systems(graph: CoreGraph):
         if _is_prime(len(others) + 1):
             others = {min(others)}
         elif others:
-            if shifts is None:
-                # the translations by the generators, if H is normal, and the letter
-                # from v back along the tree edge that finds it: the first half into v
+            if shifts is None:  # the translations by the generators, if H is normal, and
+                # the letter from v back along the tree edge that finds it: the first half into v
                 shifts = [_translation(adj, s[0]) for s in perms]
                 back = {v: -a for row in reversed(adj) for a, v in reversed(row.items())}
             if None not in shifts:

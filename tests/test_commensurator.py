@@ -499,7 +499,7 @@ def test_compute_extension_folds_only_its_candidates(monkeypatch):
     monkeypatch.setattr(commensurator, "from_generators", spied)
     assert compute_extension(phi) == sigma.images
     assert folds == [(2, list(sigma.images))]
-    assert compute_extension(held) is sigma.images and len(folds) == 1
+    assert compute_extension(held) == sigma.images and len(folds) == 1
     assert "codomain" not in vars(phi) and not {"codomain", "images"} & set(vars(held))
 
 

@@ -214,9 +214,9 @@ def held_chain(seed):
     rng = random.Random(seed)
     rank, kind = 2 + seed % 2, seed % 3
     if kind == 0:
-        return [random_tiny_iso(rng, rank) for _ in range(2 + seed % 3)]
+        return [random_tiny_iso(rng, rank) for _ in range(rng.randint(2, 4))]
     if kind == 1:
-        return [random_restriction_iso(rng, rank) for _ in range(1 + seed % (5 - rank))]
+        return [random_restriction_iso(rng, rank) for _ in range(rng.randint(1, 5 - rank))]
     links = [random_nonextending_iso(rng, 2), random_tiny_iso(rng, 2)]
     rng.shuffle(links)
     return links
@@ -230,7 +230,8 @@ def calculus_results(links, k, other):
     """The chain's product, its restriction to k, its inverse, its products
     with a link and with the inverse, and both products with other, a map
     that keeps its images."""
-    phi, fresh = compose_many(links), compose_many(links)
+    phi = compose_many(links)
+    fresh = restrict(phi, phi.domain)  # a second map that holds A, for the general path to read
     inverse = invert_iso(phi)
     return [
         phi,
@@ -278,13 +279,16 @@ def chain_pipeline(links):
 
 
 def pipeline_outcomes(seed):
-    """chain_pipeline's outcome on held_chain(seed), and on the chain's maps
-    as the library built them before they held automorphisms."""
-    twins = [keeping_images(phi) for phi in held_chain(seed)]
-    return outcome(chain_pipeline, held_chain(seed)), outcome(chain_pipeline, twins)
+    """The outcome of building held_chain(seed) and running chain_pipeline on
+    it, and on the chain's maps as the library built them before they held
+    automorphisms, which wrote their images where they were built."""
+    return (
+        outcome(lambda: chain_pipeline(held_chain(seed))),
+        outcome(lambda: chain_pipeline([keeping_images(phi) for phi in held_chain(seed)])),
+    )
 
 
-@pytest.mark.parametrize("seed, cap", [(0, 7), (1, 20), (5, 13), (7, 33), (11, 63)])
+@pytest.mark.parametrize("seed, cap", [(1, 9), (6, 40), (10, 26), (5, 13), (11, 63)])
 def test_maps_that_hold_an_automorphism_meet_the_cap_where_their_twins_do(monkeypatch, seed, cap):
     # the least cap at which the pipeline runs, on both chains: the
     # pull-backs walk as many states on either path, and the folds fold the
@@ -299,7 +303,7 @@ def test_maps_that_hold_an_automorphism_meet_the_cap_where_their_twins_do(monkey
 
 @pytest.mark.parametrize(
     "seed, ours, theirs",
-    [(0, 12, 44), (1, 13, 69), (4, 20, 90), (7, 22, 128), (5, 110, 110), (11, 105, 105)],
+    [(1, 12, 52), (6, 111, 547), (7, 21, 165), (10, 32, 346), (5, 110, 110), (11, 105, 105)],
 )
 def test_maps_that_hold_an_automorphism_refuse_for_the_letter_limit_only_where_their_twins_do(
     monkeypatch, seed, ours, theirs
