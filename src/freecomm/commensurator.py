@@ -245,7 +245,7 @@ def invert_iso(phi: PartialIso) -> PartialIso:
     """
     held = vars(phi).get("_aut")
     try:
-        extension = held or compute_extension(phi)
+        extension = compute_extension(phi)
         if not isinstance(extension, NoExtension):
             r = phi.rank
             express = witness_expresser(r, extension)
@@ -290,8 +290,8 @@ def compose(alpha: PartialIso, beta: PartialIso) -> PartialIso:
     a, b = vars(alpha).get("_aut"), vars(beta).get("_aut")
     images = aut = None
     if a and b:
+        dom = alpha.domain._preimage(a, [None] * len(a), beta.domain, letters=True)
         inverses = [None] * len(b)
-        dom = alpha.domain._preimage(a, list(inverses), beta.domain, letters=True)
         aut = tuple(_substitute(b, inverses, w) for w in a)
     else:
         dom = alpha.domain._preimage(alpha.images, alpha._inverses, beta.domain)
