@@ -94,7 +94,8 @@ class PartialIso(Record):
     it is first read if _iso was not given one.  A map that restricts an
     automorphism A the library knows keeps A's generator images as the
     entry _aut, which is no field; its images are A on the domain's
-    basis, read off the spanning tree when they are first read.
+    basis, read off the spanning tree when they are first read, as
+    equality, hashing and repr read them.
     """
 
     def __init__(self, domain: Subgroup, codomain: Optional[Subgroup],
@@ -223,9 +224,12 @@ def apply(phi: PartialIso, w: Word) -> Word:
     w's basis expression (Subgroup.express_in_basis, which checks w as a
     Word and refuses it for a letter past the rank, then for membership)
     is mapped through the images, as apply_hom maps it; phi keeps the
-    inverse images it writes, for its later calls.
+    inverse images it writes, for its later calls.  The expression is
+    written first, so a map that holds an automorphism builds its images
+    only for a word of the domain other than the empty word.
     """
-    return _substitute(phi.images, phi._inverses, phi.domain.express_in_basis(w))
+    expr = phi.domain.express_in_basis(w)
+    return _substitute(phi.images, phi._inverses, expr) if expr else expr
 
 
 def invert_iso(phi: PartialIso) -> PartialIso:

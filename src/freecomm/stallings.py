@@ -623,8 +623,9 @@ class Subgroup(Record):
         intersect, with the second coordinate twisted.  K's graph is a
         cover, so K need not hold the images, and when a leads from (v, c)
         to (w, d), -a leads back: that is recorded, not traced.  When K
-        holds every image, or the preimage has this subgroup's index, this
-        subgroup is returned as it is, held to the cap as the walk would hold it.
+        holds every image, this subgroup is returned as it is, held to the
+        cap as the walk would hold it.  With letters it is also returned when
+        the preimage has its index, so that the two share their tree caches.
         """
         if not k.graph.is_cover():
             raise InfiniteIndexError("pull-back: the subgroup pulled back has infinite index")
@@ -660,7 +661,7 @@ class Subgroup(Record):
             return row
 
         pre = _component(self.rank, (0, 0), step, too_big)
-        return self if pre.index() == g.num_vertices else pre
+        return self if letters and pre.index() == g.num_vertices else pre
 
     def coset_representatives(self) -> tuple[Word, ...]:
         """Spanning-tree transversal words, one per vertex, in canonical order."""

@@ -148,8 +148,7 @@ def test_apply_refuses_as_the_expression_path_does(seed, data):
     if all(type(a) is int and a for a in letters):
         kinds.append(Word)
     w = data.draw(st.sampled_from(kinds))(letters)
-    images = phi.images  # a restriction builds them on this first read, under the default limit
-    written = sum(len(images[abs(i) - 1]) for i in Word(a for a in expr if a))
+    written = sum(len(phi.images[abs(i) - 1]) for i in Word(a for a in expr if a))
     limit = data.draw(st.sampled_from([None, 0, written - 1, written, written + 1]))
     with pytest.MonkeyPatch.context() as mp:
         if limit is not None:
@@ -169,6 +168,26 @@ def test_apply_checks_rank_and_membership_before_the_letter_limit(monkeypatch):
         apply(swap, parse_word("bbbbA"))
     with pytest.raises(RankMismatchError, match=r"^word 'bbbbc' exceeds rank 2$"):
         apply(swap, parse_word("bbbbc"))
+
+
+def test_a_held_map_builds_its_images_only_for_a_word_that_needs_them(monkeypatch):
+    # b -> a, a -> ab restricted to the index-3 kernel of a: the images are
+    # built on the first read, whose longest piece, aaa -> (ab)^3, writes 6
+    # letters; below that every read of them is refused, and nothing is cached
+    phi = restrict(embed_aut([parse_word("ab"), parse_word("a")]), kernel_mod_p(2, (1, 0), 3))
+    monkeypatch.setattr(words, "LETTER_LIMIT", 2)
+    assert apply(phi, parse_word("")) == parse_word("")
+    with pytest.raises(RankMismatchError, match=r"^word 'c' exceeds rank 2$"):
+        apply(phi, parse_word("c"))
+    with pytest.raises(NotInSubgroupError, match=r"^'a' is not in the subgroup$"):
+        apply(phi, parse_word("a"))
+    refusal = r"^apply_hom: 6 letters written from 2 images exceed the letter limit \(2\)$"
+    for read in (lambda: apply(phi, parse_word("b")), lambda: hash(phi), lambda: repr(phi)):
+        with pytest.raises(WorkLimitError, match=refusal):
+            read()
+    assert set(vars(phi)) == {"domain", "_aut"}
+    monkeypatch.undo()
+    assert hash(phi) == hash(make_iso(phi.domain, phi.codomain, phi.images))
 
 
 def test_apply_checks_plain_sequences_as_words():
