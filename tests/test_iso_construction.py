@@ -403,8 +403,8 @@ def test_transfer_to_an_overgroup_of_the_codomain_matches_reference(seed, rank):
     pulled = []
     pull_back = Subgroup._preimage
 
-    def watched(self, images, inverses, k):
-        pre = pull_back(self, images, inverses, k)
+    def watched(self, images, k):
+        pre = pull_back(self, images, k)
         pulled.append(pre is self)
         return pre
 
@@ -615,7 +615,7 @@ def test_onto_by_index_matches_the_folded_codomains(rank):
         for alpha in maps:
             assert commensurator._codomain_index(alpha) == from_generators(rank, alpha.images).index()
             for beta in maps:
-                dom = alpha.domain._preimage(alpha.images, alpha._inverses, beta.domain)
+                dom = alpha.domain._preimage(alpha.images, beta.domain)
                 rhs = alpha.domain.index() * beta.domain.index()
                 onto = commensurator._codomain_index(alpha) * dom.index() == rhs
                 assert onto == (alpha.codomain.index() * dom.index() == rhs)

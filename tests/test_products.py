@@ -58,7 +58,7 @@ def pull_back_cases(rng, rank):
 
 
 def pull_back(alpha, k):
-    return alpha.domain._preimage(alpha.images, alpha._inverses, k)
+    return alpha.domain._preimage(alpha.images, k)
 
 
 def same_outcome(run, reference):

@@ -386,6 +386,12 @@ def test_text_round_trip(w):
     assert parse_word(word_to_text(w)) == w
 
 
+def test_repr_spells_a_word_in_text_up_to_26_generators():
+    # past z there is no letter, so the repr falls back to the tuple
+    assert repr(Word((1, -2, 26))) == "Word('aBz')"
+    assert repr(Word((27, -1))) == "Word((27, -1))"
+
+
 # ---------------------------------------------------------------------------
 # one door: every public entry that takes a word checks it with Word()
 
