@@ -95,8 +95,11 @@ class PartialIso(Record):
     automorphism A the library knows keeps A's generator images as the
     entry _aut, which is no field; its images are A on the domain's
     basis, read off the spanning tree when they are first read, as
-    equality, hashing and repr read them.
+    equality, hashing and repr read them.  The class declares _aut as
+    None, the value of every map that holds no automorphism.
     """
+
+    _aut = None
 
     def __init__(self, domain: Subgroup, codomain: Optional[Subgroup],
                  images: Optional[tuple[Word, ...]]):
@@ -249,7 +252,6 @@ def invert_iso(phi: PartialIso) -> PartialIso:
     and writes each codomain basis element's expression over the
     domain's basis; invert_iso refuses for the limit only where it does.
     """
-    held = vars(phi).get("_aut")
     try:
         extension = compute_extension(phi)
         if not isinstance(extension, NoExtension):
@@ -257,7 +259,7 @@ def invert_iso(phi: PartialIso) -> PartialIso:
             express = witness_expresser(r, extension)
             inverse = tuple(express(Word((i,))) for i in range(1, r + 1))
             codomain = vars(phi).get("codomain") or whole_group(r)._preimage(inverse, phi.domain)
-            images = None if held else tuple(codomain._hom_on_basis(inverse))
+            images = None if phi._aut else tuple(codomain._hom_on_basis(inverse))
             return _iso(codomain, images, phi.domain, inverse)
     except WorkLimitError:
         pass
@@ -291,12 +293,11 @@ def compose(alpha: PartialIso, beta: PartialIso) -> PartialIso:
       all that is left.  Above rank 1 no codomain is read (_codomain_index).
     """
     _require_same_rank(alpha, beta)
-    a, b = vars(alpha).get("_aut"), vars(beta).get("_aut")
+    a, b = alpha._aut, beta._aut
     images = aut = None
     if a and b:
         dom = alpha.domain._preimage(a, beta.domain, letters=True)
-        inverses = [None] * len(b)
-        aut = tuple(_substitute(b, inverses, w) for w in a)
+        aut = tuple(apply_hom(b, w) for w in a)
     else:
         dom = alpha.domain._preimage(alpha.images, beta.domain)
         if dom is alpha.domain:
@@ -331,10 +332,12 @@ def equivalent(alpha: PartialIso, beta: PartialIso) -> bool:
     finite-index subgroup.
     """
     _require_same_rank(alpha, beta)
-    common = intersect(alpha.domain, beta.domain)
-    return all(
-        apply(alpha, b) == apply(beta, b) for b in common.basis.elements
-    )
+    return _agree(alpha, beta, intersect(alpha.domain, beta.domain))
+
+
+def _agree(alpha: PartialIso, beta: PartialIso, h: Subgroup) -> bool:
+    """Whether the two maps agree on h's basis, so on h."""
+    return all(apply(alpha, b) == apply(beta, b) for b in h.basis.elements)
 
 
 def _candidate_subgroups(rank: int, top: Subgroup, max_index: int):
@@ -385,10 +388,7 @@ def equivalent_bruteforce(alpha: PartialIso, beta: PartialIso, max_index: int) -
         raise ValueError(f"max_index must be positive, got {max_index}")
     _require_same_rank(alpha, beta)
     common = intersect(alpha.domain, beta.domain)
-    for h in _candidate_subgroups(alpha.rank, common, max_index):
-        if all(apply(alpha, b) == apply(beta, b) for b in h.basis.elements):
-            return True
-    return False
+    return any(_agree(alpha, beta, h) for h in _candidate_subgroups(alpha.rank, common, max_index))
 
 
 def restrict(phi: PartialIso, k: Subgroup) -> PartialIso:
@@ -402,7 +402,7 @@ def restrict(phi: PartialIso, k: Subgroup) -> PartialIso:
                 f"({_quoted(b)} escapes)"
             )
     _require_finite_index(k)
-    if aut := vars(phi).get("_aut"):
+    if aut := phi._aut:
         return _iso(k, None, None, aut)
     return _iso(k, [apply(phi, b) for b in k.basis.elements])
 
@@ -433,7 +433,7 @@ def is_identity_class(phi: PartialIso) -> bool:
     intersection of their domains, phi's own, when phi fixes its basis,
     or, when phi holds an automorphism, when that fixes the generators
     (unique roots: A(g)^m = g^m forces A(g) = g)."""
-    if aut := vars(phi).get("_aut"):
+    if aut := phi._aut:
         return all(w == (i,) for i, w in enumerate(aut, 1))
     return phi.images == phi.domain.basis.elements
 
@@ -456,7 +456,7 @@ def compute_extension(phi: PartialIso) -> Union[tuple[Word, ...], NoExtension]:
     codomain = vars(phi).get("codomain")
     if phi.domain.index() is math.inf or (codomain is not None and codomain.index() is math.inf):
         raise InvalidIsoError("extension analysis needs finite index on both sides")
-    if aut := vars(phi).get("_aut"):
+    if aut := phi._aut:
         return aut
     rank = phi.rank
     graph = phi.domain.graph

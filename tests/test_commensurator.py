@@ -1,6 +1,7 @@
 """Partial isomorphisms: validation, calculus, equivalence, transfers."""
 
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,8 +51,10 @@ from freecomm import commensurator
 from support import (
     apply_by_expression,
     compose_images,
+    keeping_images,
     outcome,
     random_aut_images,
+    random_nonextending_iso,
     random_restriction_iso,
     random_small_domain,
     random_tiny_domain,
@@ -428,10 +431,19 @@ def test_bruteforce_builds_each_kernel_once(rank, monkeypatch):
 @given(seeds)
 @settings(deadline=None, max_examples=15)
 def test_equivalent_matches_bruteforce(seed):
+    # a held map, one that keeps its images and one that extends to no
+    # automorphism, each pair in both orders, and the held map against its
+    # image-keeping twin; the oracle searches to three times the index of
+    # the domains' intersection, which reaches the hundreds
     rng = random.Random(seed)
-    alpha = random_restriction_iso(rng, 2)
-    beta = random_restriction_iso(rng, 2)
-    assert equivalent(alpha, beta) == equivalent_bruteforce(alpha, beta, 36)
+    held = random_restriction_iso(rng, 2)
+    kept = keeping_images(random_restriction_iso(rng, 2))
+    twin = keeping_images(held)
+    pairs = list(permutations([held, kept, random_nonextending_iso(rng, 2)], 2))
+    for alpha, beta in pairs + [(held, twin), (twin, held)]:
+        max_index = 3 * intersect(alpha.domain, beta.domain).index()
+        assert equivalent(alpha, beta) == equivalent_bruteforce(alpha, beta, max_index)
+    assert equivalent(held, twin) and equivalent(twin, held)
 
 
 def test_restrict_examples():
