@@ -332,12 +332,8 @@ def equivalent(alpha: PartialIso, beta: PartialIso) -> bool:
     finite-index subgroup.
     """
     _require_same_rank(alpha, beta)
-    return _agree(alpha, beta, intersect(alpha.domain, beta.domain))
-
-
-def _agree(alpha: PartialIso, beta: PartialIso, h: Subgroup) -> bool:
-    """Whether the two maps agree on h's basis, so on h."""
-    return all(apply(alpha, b) == apply(beta, b) for b in h.basis.elements)
+    common = intersect(alpha.domain, beta.domain)
+    return all(apply(alpha, b) == apply(beta, b) for b in common.basis.elements)
 
 
 def _candidate_subgroups(rank: int, top: Subgroup, max_index: int):
@@ -387,8 +383,8 @@ def equivalent_bruteforce(alpha: PartialIso, beta: PartialIso, max_index: int) -
     if max_index < 1:
         raise ValueError(f"max_index must be positive, got {max_index}")
     _require_same_rank(alpha, beta)
-    common = intersect(alpha.domain, beta.domain)
-    return any(_agree(alpha, beta, h) for h in _candidate_subgroups(alpha.rank, common, max_index))
+    hs = _candidate_subgroups(alpha.rank, intersect(alpha.domain, beta.domain), max_index)
+    return any(all(apply(alpha, b) == apply(beta, b) for b in h.basis.elements) for h in hs)
 
 
 def restrict(phi: PartialIso, k: Subgroup) -> PartialIso:

@@ -431,15 +431,16 @@ def test_bruteforce_builds_each_kernel_once(rank, monkeypatch):
 @given(seeds)
 @settings(deadline=None, max_examples=15)
 def test_equivalent_matches_bruteforce(seed):
-    # a held map, one that keeps its images and one that extends to no
-    # automorphism, each pair in both orders, and the held map against its
+    # two held maps, one that keeps its images and one that extends to no
+    # automorphism, each pair in both orders, and a held map against its
     # image-keeping twin; the oracle searches to three times the index of
     # the domains' intersection, which reaches the hundreds
     rng = random.Random(seed)
     held = random_restriction_iso(rng, 2)
+    held2 = random_restriction_iso(rng, 2)
     kept = keeping_images(random_restriction_iso(rng, 2))
     twin = keeping_images(held)
-    pairs = list(permutations([held, kept, random_nonextending_iso(rng, 2)], 2))
+    pairs = list(permutations([held, held2, kept, random_nonextending_iso(rng, 2)], 2))
     for alpha, beta in pairs + [(held, twin), (twin, held)]:
         max_index = 3 * intersect(alpha.domain, beta.domain).index()
         assert equivalent(alpha, beta) == equivalent_bruteforce(alpha, beta, max_index)
