@@ -18,7 +18,7 @@ isomorphism.
 from __future__ import annotations
 
 import math
-from functools import cached_property, reduce as _functools_reduce
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
@@ -127,11 +127,12 @@ class PartialIso(Record):
 
     @cached_property
     def _inverses(self) -> list:
-        """_inverses[i] is the inverse of images[i], once apply has used it.
-        Only apply writes it, so a map applied to many words, as compose
-        applies it, inverts each image once: a list per call made the
-        compose of maps that keep their images 1.17× slower."""
-        return [None] * len(self.images)
+        """_inverses[i] is the inverse of the i-th word apply substitutes,
+        once apply has used it: a generator image of the held automorphism,
+        or else images[i].  Only apply writes it, so a map applied to many
+        words, as compose applies it, inverts each word once: a list per
+        call made the compose of maps that keep their images 1.17× slower."""
+        return [None] * len(self._aut or self.images)
 
 
 class NoExtension(Record):
@@ -228,12 +229,15 @@ def apply(phi: PartialIso, w: Word) -> Word:
 
     w's basis expression (Subgroup.express_in_basis, which checks w as a
     Word and refuses it for a letter past the rank, then for membership)
-    is mapped through the images, as apply_hom maps it; phi keeps the
-    inverse images it writes, for its later calls.  The expression is
-    written first, so a map that holds an automorphism builds its images
-    only for a word of the domain other than the empty word.
+    is written first.  A map that holds an automorphism A maps w itself
+    through A's generator images and builds no basis image; any other map
+    maps the expression through its images.  Either way the words are
+    substituted as apply_hom substitutes them, and phi keeps the inverses
+    it writes, for its later calls.
     """
     expr = phi.domain.express_in_basis(w)
+    if aut := phi._aut:
+        return _substitute(aut, phi._inverses, Word(w))
     return _substitute(phi.images, phi._inverses, expr) if expr else expr
 
 
@@ -316,12 +320,19 @@ def _codomain_index(phi: PartialIso) -> int:
 
 
 def compose_many(isos: Iterable[PartialIso]) -> PartialIso:
-    """Left-to-right composition of a non-empty iterable."""
-    isos = iter(isos)
-    first = next(isos, None)
-    if first is None:
+    """Composition of a non-empty iterable, its first map applied first,
+    in balanced order: adjacent pairs are composed until one map is left,
+    and a map without a partner waits for the next round.  Composition of
+    maps on their largest domains is associative, which makes it the same
+    map as composing left to right, but no side of a compose is the
+    product of a long prefix."""
+    isos = list(isos)
+    if not isos:
         raise ValueError("compose_many needs at least one map")
-    return _functools_reduce(compose, isos, first)
+    while len(isos) > 1:
+        pairs = zip(isos[::2], isos[1::2])
+        isos = [compose(a, b) for a, b in pairs] + isos[len(isos) // 2 * 2:]
+    return isos[0]
 
 
 def equivalent(alpha: PartialIso, beta: PartialIso) -> bool:

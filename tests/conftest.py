@@ -158,9 +158,11 @@ def _outcome(fn, *args):
 def check_iso_apply():
     """Check every apply against the two-table reference.
 
-    apply maps the basis expression the domain's table reads; the
-    reference rewrites the word over the basis by its own two tables and
-    reduces the images that expression names as one Word.
+    apply maps the basis expression the domain's table reads, or, for a
+    map that holds an automorphism A, the word itself by A; the reference
+    rewrites the word over the basis by its own two tables to check it,
+    and reduces the images that expression names, or A's images over the
+    word's letters, as one Word.
     Each call must return the same Word, or raise an exception of the same
     type with the same message.  apply is replaced in every module that
     holds it, the tests' own included, so the CLI's calls and the tests'

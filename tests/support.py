@@ -555,20 +555,24 @@ def join_by_wedge(h: Subgroup, k: Subgroup) -> Subgroup:
 def apply_by_expression(phi: PartialIso, w: Word) -> Word:
     """apply by the two-table rewrite: w is checked as a Word and refused
     for a letter past the rank, then for membership, then for the letter
-    limit; otherwise the images its basis expression names are laid end to
-    end and reduced as one Word."""
+    limit; otherwise the pieces are laid end to end and reduced as one
+    Word.  The pieces of a map that holds an automorphism A are A's
+    generator images over w's letters, and phi.images is never read, as
+    that read would fill the cache the laziness tests inspect; those of
+    any other map are the images that w's basis expression names."""
     w = Word(w)
     if max(map(abs, w), default=0) > phi.rank:
         raise RankMismatchError(f"word {_quoted(w)} exceeds rank {phi.rank}")
     expr = express_in_basis_by_two_tables(phi.domain.graph, w)
     if expr is None:
         raise NotInSubgroupError(f"{_quoted(w)} is not in the subgroup")
-    pieces = [phi.images[i - 1] if i > 0 else invert(phi.images[-i - 1]) for i in expr]
+    images, letters = (phi._aut, w) if phi._aut else (phi.images, expr)
+    pieces = [images[i - 1] if i > 0 else invert(images[-i - 1]) for i in letters]
     limit = words.LETTER_LIMIT
     for written in accumulate(map(len, pieces)):
         if written > limit:
             raise WorkLimitError(
-                f"apply_hom: {written} letters written from {len(phi.images)} images "
+                f"apply_hom: {written} letters written from {len(images)} images "
                 f"exceed the letter limit ({limit})"
             )
     return Word(chain.from_iterable(pieces))

@@ -133,17 +133,28 @@ def test_apply_rejects_outsiders():
 SPOILERS = [[1], [-2], [2, -2], [-1, 1], [3], [-3], [0], [1.0]]
 
 
+def held_and_twin(seed):
+    """A restriction of a random automorphism A of F_2, which holds A, and
+    its image-keeping twin, built from a second copy, so that the first
+    map's images stay unbuilt."""
+    phi = random_restriction_iso(random.Random(seed), 2)
+    return phi, keeping_images(random_restriction_iso(random.Random(seed), 2))
+
+
 @given(seeds, st.data())
 @settings(deadline=None, max_examples=200)
 def test_apply_refuses_as_the_expression_path_does(seed, data):
     # apply must give what apply_by_expression gives, on input the rest of
     # the suite does not reach: sequences that are not Words, words outside
     # the domain or past the rank, and the letter limit's boundary, where a
-    # word outside the domain is refused for that first
-    phi = random_restriction_iso(random.Random(seed), 2)
+    # word outside the domain is refused for that first.  The map that
+    # holds A writes A's images over the word's letters, its twin the
+    # images that the word's basis expression names.
+    phi, twin = held_and_twin(seed)
     basis = phi.domain.basis.elements
-    expr = data.draw(st.lists(st.sampled_from(range(-len(basis), len(basis) + 1)), max_size=5))
-    letters = list(apply_hom(basis, Word(a for a in expr if a)))
+    drawn = data.draw(st.lists(st.sampled_from(range(-len(basis), len(basis) + 1)), max_size=5))
+    expr = Word(a for a in drawn if a)
+    letters = list(apply_hom(basis, expr))
     for _ in range(data.draw(st.integers(0, 2))):
         at = data.draw(st.integers(0, len(letters)))
         letters[at:at] = data.draw(st.sampled_from(SPOILERS))
@@ -151,12 +162,14 @@ def test_apply_refuses_as_the_expression_path_does(seed, data):
     if all(type(a) is int and a for a in letters):
         kinds.append(Word)
     w = data.draw(st.sampled_from(kinds))(letters)
-    written = sum(len(phi.images[abs(i) - 1]) for i in Word(a for a in expr if a))
-    limit = data.draw(st.sampled_from([None, 0, written - 1, written, written + 1]))
-    with pytest.MonkeyPatch.context() as mp:
-        if limit is not None:
-            mp.setattr(words, "LETTER_LIMIT", limit)
-        assert outcome(apply, phi, w) == outcome(apply_by_expression, phi, w)
+    for psi, pieces, over in ((phi, phi._aut, apply_hom(basis, expr)), (twin, twin.images, expr)):
+        written = sum(len(pieces[abs(i) - 1]) for i in over)
+        limit = data.draw(st.sampled_from([None, 0, written - 1, written, written + 1]))
+        with pytest.MonkeyPatch.context() as mp:
+            if limit is not None:
+                mp.setattr(words, "LETTER_LIMIT", limit)
+            assert outcome(apply, psi, w) == outcome(apply_by_expression, psi, w)
+    assert "images" not in vars(phi)
 
 
 def test_apply_checks_rank_and_membership_before_the_letter_limit(monkeypatch):
@@ -174,23 +187,31 @@ def test_apply_checks_rank_and_membership_before_the_letter_limit(monkeypatch):
 
 
 def test_a_held_map_builds_its_images_only_for_a_word_that_needs_them(monkeypatch):
-    # b -> a, a -> ab restricted to the index-3 kernel of a: the images are
-    # built on the first read, whose longest piece, aaa -> (ab)^3, writes 6
-    # letters; below that every read of them is refused, and nothing is cached
+    # b -> a, a -> ab restricted to the index-3 kernel of a: apply maps a
+    # word by A and builds no image, so b -> a is answered under a limit of
+    # 2, and aaa -> (ab)^3 is refused at its second ab, where its twin
+    # refuses its one 6-letter image.  The images are built on the first
+    # read, whose longest piece is that image; below it every read of them
+    # is refused, and nothing is cached.
     phi = restrict(embed_aut([parse_word("ab"), parse_word("a")]), kernel_mod_p(2, (1, 0), 3))
+    twin = keeping_images(restrict(embed_aut([parse_word("ab"), parse_word("a")]), phi.domain))
     monkeypatch.setattr(words, "LETTER_LIMIT", 2)
-    assert apply(phi, parse_word("")) == parse_word("")
-    with pytest.raises(RankMismatchError, match=r"^word 'c' exceeds rank 2$"):
-        apply(phi, parse_word("c"))
-    with pytest.raises(NotInSubgroupError, match=r"^'a' is not in the subgroup$"):
-        apply(phi, parse_word("a"))
+    for psi, written in ((phi, "4 letters written from 2"), (twin, "6 letters written from 4")):
+        assert apply(psi, parse_word("")) == parse_word("")
+        assert apply(psi, parse_word("b")) == parse_word("a")
+        with pytest.raises(RankMismatchError, match=r"^word 'c' exceeds rank 2$"):
+            apply(psi, parse_word("c"))
+        with pytest.raises(NotInSubgroupError, match=r"^'a' is not in the subgroup$"):
+            apply(psi, parse_word("a"))
+        with pytest.raises(WorkLimitError, match=rf"^apply_hom: {written} images exceed the letter limit \(2\)$"):
+            apply(psi, parse_word("aaa"))
     refusal = r"^apply_hom: 6 letters written from 2 images exceed the letter limit \(2\)$"
-    for read in (lambda: apply(phi, parse_word("b")), lambda: hash(phi), lambda: repr(phi)):
+    for read in (lambda: hash(phi), lambda: repr(phi)):
         with pytest.raises(WorkLimitError, match=refusal):
             read()
-    assert set(vars(phi)) == {"domain", "_aut"}
+    assert set(vars(phi)) == {"domain", "_aut", "_inverses"}
     monkeypatch.undo()
-    assert hash(phi) == hash(make_iso(phi.domain, phi.codomain, phi.images))
+    assert hash(phi) == hash(twin) == hash(make_iso(phi.domain, phi.codomain, phi.images))
 
 
 def test_apply_checks_plain_sequences_as_words():
@@ -205,30 +226,33 @@ def test_apply_checks_plain_sequences_as_words():
 @given(seeds, st.data())
 @settings(deadline=None, max_examples=50)
 def test_apply_and_apply_hom_share_the_letter_limit(seed, data):
-    # at, just under and just over the letters written, the map of a word
-    # and the map of its basis expression return, or fail, alike
-    phi = random_restriction_iso(random.Random(seed), 2)
+    # at, just under and just over the letters written, apply and apply_hom
+    # return, or fail, alike: the map that holds A as A maps the word, its
+    # twin as its images map the word's basis expression
+    phi, twin = held_and_twin(seed)
     basis = phi.domain.basis.elements
     signed = [i for k in range(1, len(basis) + 1) for i in (k, -k)]
     expr = data.draw(st.lists(st.sampled_from(signed), max_size=6).map(Word).filter(len))
     w = apply_hom(basis, expr)
-    written = sum(len(phi.images[abs(i) - 1]) for i in expr)
-    for limit in (written - 1, written, written + 1):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(words, "LETTER_LIMIT", limit)
-            got = outcome(apply, phi, w)
-            assert got == outcome(apply_hom, phi.images, expr)
-        assert (got[0] is WorkLimitError) == (limit < written), got
+    for psi, images, letters in ((phi, phi._aut, w), (twin, twin.images, expr)):
+        written = sum(len(images[abs(i) - 1]) for i in letters)
+        for limit in (written - 1, written, written + 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(words, "LETTER_LIMIT", limit)
+                got = outcome(apply, psi, w)
+                assert got == outcome(apply_hom, images, letters)
+            assert (got[0] is WorkLimitError) == (limit < written), got
 
 
 def test_one_map_inverts_each_image_once(monkeypatch):
-    # apply fills the map's inverse images, each once across its calls; the
-    # pull-back, which walks here, builds its own and leaves the map's as
-    # it found them
-    phi = random_restriction_iso(random.Random(3), 2)
+    # apply fills the map's inverses, each once across its calls: of A's
+    # generator images for the map that holds A, of the images for its
+    # twin.  The pull-back, which walks here, builds its own and leaves
+    # the map's as it found them.
+    phi, twin = held_and_twin(3)
     inverse_basis = [b.inverse() for b in phi.domain.basis.elements]
-    k = intersect(phi.codomain, kernel_mod_p(2, (1, 1), 2))
-    assert k != phi.codomain
+    k = intersect(twin.codomain, kernel_mod_p(2, (1, 1), 2))
+    assert k != twin.codomain
     inverted = []
 
     def counted(w):
@@ -236,14 +260,17 @@ def test_one_map_inverts_each_image_once(monkeypatch):
         return Word(-a for a in reversed(w))
 
     monkeypatch.setattr(words, "invert", counted)
-    for _ in range(2):
-        before = list(phi._inverses)
-        assert phi.domain._preimage(phi.images, k) != phi.domain
-        assert phi._inverses == before
-        for b in inverse_basis:
-            apply(phi, b)
-    assert sorted(inverted) == sorted(phi.images)
-    assert None not in phi._inverses
+    for psi, images, letters in ((phi, phi._aut, True), (twin, twin.images, False)):
+        inverted.clear()
+        for _ in range(2):
+            before = list(psi._inverses)
+            assert psi.domain._preimage(images, k, letters) != psi.domain
+            assert psi._inverses == before
+            for b in inverse_basis:
+                apply(psi, b)
+        assert sorted(inverted) == sorted(images)
+        assert None not in psi._inverses
+    assert "images" not in vars(phi)
 
 
 def potential_letters(h, images):

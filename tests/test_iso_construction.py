@@ -10,6 +10,7 @@ must give the same domain, codomain and images.
 
 import json
 import random
+from functools import partial, reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -301,18 +302,58 @@ def test_maps_that_hold_an_automorphism_meet_the_cap_where_their_twins_do(monkey
     assert got == ref and got[0] is tuple
 
 
+def rank_two_chain(n, kind):
+    """n random_tiny_iso links of rank 2, drawn from the seed n: as they hold
+    their automorphisms (kind 0), as twins that keep their images (kind 1),
+    or with one link swapped for a map that extends to none (kind 2)."""
+    rng = random.Random(n)
+    links = [random_tiny_iso(rng, 2) for _ in range(n)]
+    if kind == 1:
+        links = [keeping_images(phi) for phi in links]
+    if kind == 2:
+        links[rng.randrange(n)] = random_nonextending_iso(rng, 2)
+    return links
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_compose_many_matches_composing_left_to_right(monkeypatch, n):
+    # compose_many composes adjacent pairs, carrying the last map of an odd
+    # round to the next; associativity makes its product the left-to-right
+    # one, which holds the same automorphism where the links hold theirs.
+    # Under the caps of the pipeline test both orders are refused, or both
+    # answer: the message may differ, as it names the graph that met the
+    # cap, and the graphs on the way differ.
+    left_to_right = partial(reduce, compose)
+    refused = set()
+    for kind in range(3):
+        got, want = compose_many(rank_two_chain(n, kind)), left_to_right(rank_two_chain(n, kind))
+        assert ("_aut" in vars(got)) == (kind == 0)
+        assert vars(got).get("_aut") == vars(want).get("_aut")
+        assert got == want
+        assert_same_iso(got, want)
+        for cap in (8, 9, 12, 13, 25, 26, 39, 40, 62, 63):
+            links, ref_links = rank_two_chain(n, kind), rank_two_chain(n, kind)
+            monkeypatch.setenv(VERTEX_CAP_ENV, str(cap))
+            got, want = outcome(compose_many, links), outcome(left_to_right, ref_links)
+            monkeypatch.delenv(VERTEX_CAP_ENV)
+            assert got[0] is want[0] and (got == want or got[0] is IndexCapError)
+            refused.add(got[0] is IndexCapError)
+    assert refused == {False, n > 1}
+
+
 @pytest.mark.parametrize(
     "seed, ours, theirs",
-    [(1, 12, 52), (6, 111, 547), (7, 21, 165), (10, 32, 346), (5, 110, 110), (11, 105, 105)],
+    [(1, 12, 44), (6, 111, 333), (7, 21, 73), (10, 32, 122), (5, 110, 110), (11, 105, 105)],
 )
 def test_maps_that_hold_an_automorphism_refuse_for_the_letter_limit_only_where_their_twins_do(
     monkeypatch, seed, ours, theirs
 ):
     # the least letter limit at which the pipeline runs on the held chain
-    # (ours) and on its twins (theirs, the parent's figure): a held chain
-    # writes no word of compute_extension and builds only the images that
-    # are read, each off a spanning tree.  Chains mixed with a map that
-    # extends to none (seeds 5 and 11) take the general path.
+    # (ours) and on its twins, which keep their images (theirs): a held
+    # chain writes no word of compute_extension, applies A to the words it
+    # maps and builds only the images that are read, each off a spanning
+    # tree.  Chains mixed with a map that extends to none (seeds 5 and 11)
+    # take the general path.
     assert ours <= theirs
     for limit in sorted({ours - 1, ours, theirs - 1, theirs}):
         monkeypatch.setattr(words, "LETTER_LIMIT", limit)
