@@ -18,6 +18,7 @@ isomorphism.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
@@ -31,6 +32,8 @@ from .errors import (
 from .record import Record
 from .stallings import (
     Subgroup,
+    _is_whole_group,
+    _morphism,
     _require_same_rank,
     from_generators,
     graph_from_document,
@@ -96,7 +99,10 @@ class PartialIso(Record):
     entry _aut, which is no field; its images are A on the domain's
     basis, read off the spanning tree when they are first read, as
     equality, hashing and repr read them.  The class declares _aut as
-    None, the value of every map that holds no automorphism.
+    None, the value of every map that holds no automorphism.  A map that
+    holds A reads its codomain, A(domain), as the domain pulled back
+    through A⁻¹, and invert_iso leaves the one it builds on the map, as
+    the inverse's domain.
     """
 
     _aut = None
@@ -120,7 +126,13 @@ class PartialIso(Record):
 
     @cached_property
     def codomain(self) -> Subgroup:
-        """The fold of the images, held to the rank check of _iso."""
+        """A held automorphism A's image of the domain, which is the domain
+        pulled back through A⁻¹; or, past the letter limit there or for a
+        map that holds none, the fold of the images, held to the rank check
+        of _iso."""
+        if aut := self._aut:
+            with suppress(WorkLimitError):
+                return whole_group(self.rank)._preimage(_inverse_images(aut), self.domain)
         codomain = from_generators(self.rank, self.images)
         _require_equal_rank(len(self.images), codomain)
         return codomain
@@ -172,8 +184,7 @@ def make_iso(domain: Subgroup, codomain: Subgroup, images: Sequence[Word]) -> Pa
             expressions.append(codomain.express_in_basis(w))
         except NotInSubgroupError:
             raise InvalidIsoError(f"image {_quoted(w)} lies outside the codomain") from None
-    m = _free_rank(codomain)
-    if from_generators(m, expressions) != whole_group(m):
+    if not _is_whole_group(_free_rank(codomain), expressions):
         raise InvalidIsoError("images generate a proper subgroup of the codomain")
     _require_equal_rank(n, codomain)
     return PartialIso(domain=domain, codomain=codomain, images=images)
@@ -227,17 +238,20 @@ def identity_iso(h: Subgroup) -> PartialIso:
 def apply(phi: PartialIso, w: Word) -> Word:
     """Image of w (which must lie in the domain) under the map.
 
-    w's basis expression (Subgroup.express_in_basis, which checks w as a
-    Word and refuses it for a letter past the rank, then for membership)
-    is written first.  A map that holds an automorphism A maps w itself
-    through A's generator images and builds no basis image; any other map
-    maps the expression through its images.  Either way the words are
-    substituted as apply_hom substitutes them, and phi keeps the inverses
-    it writes, for its later calls.
+    w is checked as a Word and refused for a letter past the rank, then
+    for membership (Subgroup._require_member).  A map that holds an
+    automorphism A traces w in the domain's graph and maps w itself
+    through A's generator images; it builds no basis image and no spanning
+    tree.  Any other map maps w's basis expression
+    (Subgroup.express_in_basis) through its images.  Either way the words
+    are substituted as apply_hom substitutes them, and phi keeps the
+    inverses it writes, for its later calls.
     """
-    expr = phi.domain.express_in_basis(w)
     if aut := phi._aut:
-        return _substitute(aut, phi._inverses, Word(w))
+        w = Word(w)
+        phi.domain._require_member(w, phi.domain.graph.trace(0, w))
+        return _substitute(aut, phi._inverses, w)
+    expr = phi.domain.express_in_basis(w)
     return _substitute(phi.images, phi._inverses, expr) if expr else expr
 
 
@@ -247,8 +261,9 @@ def invert_iso(phi: PartialIso) -> PartialIso:
     phi⁻¹ is A⁻¹ on codomain(phi) = A(domain) for the A that phi holds,
     or that compute_extension finds (unique roots force it).  A is
     inverted over its r letters by witness folding, and the codomain, if
-    phi does not hold it, is the domain pulled back through A⁻¹.  The
-    inverse holds A⁻¹; its images, the reduced words of unique elements
+    phi does not hold it, is the domain pulled back through A⁻¹; a phi
+    that holds A keeps it, so that phi and its inverse share one Subgroup.
+    The inverse holds A⁻¹; its images, the reduced words of unique elements
     as on the general path, are read off its domain's spanning tree when
     first read, or at once for a found A, so that a word past the letter
     limit there, or in compute_extension, leads to the general path.
@@ -259,10 +274,10 @@ def invert_iso(phi: PartialIso) -> PartialIso:
     try:
         extension = compute_extension(phi)
         if not isinstance(extension, NoExtension):
-            r = phi.rank
-            express = witness_expresser(r, extension)
-            inverse = tuple(express(Word((i,))) for i in range(1, r + 1))
+            r, inverse = phi.rank, _inverse_images(extension)
             codomain = vars(phi).get("codomain") or whole_group(r)._preimage(inverse, phi.domain)
+            if phi._aut:  # the codomain it would pull back itself
+                phi.__dict__["codomain"] = codomain
             images = None if phi._aut else tuple(codomain._hom_on_basis(inverse))
             return _iso(codomain, images, phi.domain, inverse)
     except WorkLimitError:
@@ -278,14 +293,23 @@ def invert_iso(phi: PartialIso) -> PartialIso:
     return _iso(phi.codomain, preimages, phi.domain)
 
 
+def _inverse_images(aut: Sequence[Word]) -> tuple[Word, ...]:
+    """The generator images of A⁻¹, for A's, by witness folding A's images."""
+    express = witness_expresser(len(aut), aut)
+    return tuple(express(Word((i,))) for i in range(1, len(aut) + 1))
+
+
 def compose(alpha: PartialIso, beta: PartialIso) -> PartialIso:
     """The product map: first alpha, then beta.
 
     Defined on the preimage of domain(beta) under alpha, which alpha maps
     onto K = codomain(alpha) ∩ domain(beta); K itself is never built.
-    When both maps hold automorphisms A and B, the preimage is pulled
-    back through A one letter at a time, and the product holds B∘A, its
-    images unbuilt.  Otherwise two cases skip work:
+    When alpha holds domain(beta) as its codomain, as invert_iso leaves a
+    map and its inverse, the preimage is domain(alpha), with no walk and
+    no trace, held to the cap as Subgroup._preimage holds it.  When both
+    maps hold automorphisms A and B, the preimage is pulled back through A
+    one letter at a time, and the product holds B∘A, its images unbuilt.
+    Otherwise two cases skip work:
 
     - alpha's images lie in domain(beta): the preimage is domain(alpha),
       with no walk, and its images are alpha.images as they stand;
@@ -299,11 +323,12 @@ def compose(alpha: PartialIso, beta: PartialIso) -> PartialIso:
     _require_same_rank(alpha, beta)
     a, b = alpha._aut, beta._aut
     images = aut = None
+    known = vars(alpha).get("codomain") is beta.domain
     if a and b:
-        dom = alpha.domain._preimage(a, beta.domain, letters=True)
+        dom = alpha.domain._preimage(None if known else a, beta.domain, letters=True)
         aut = tuple(apply_hom(b, w) for w in a)
     else:
-        dom = alpha.domain._preimage(alpha.images, beta.domain)
+        dom = alpha.domain._preimage(None if known else alpha.images, beta.domain)
         if dom is alpha.domain:
             middle = alpha.images
         else:
@@ -399,15 +424,16 @@ def equivalent_bruteforce(alpha: PartialIso, beta: PartialIso, max_index: int) -
 
 
 def restrict(phi: PartialIso, k: Subgroup) -> PartialIso:
-    """The same map with its domain cut down to K <= domain.  A held
+    """The same map with its domain cut down to K <= domain, which holds
+    when K's graph maps onto the domain's (stallings._morphism); K's basis
+    is built only to name the first element that escapes.  A held
     automorphism is kept, and nothing is applied until the images are read."""
     _require_same_rank(k, phi)
-    for b in k.basis.elements:
-        if not phi.domain.contains(b):
-            raise NotInSubgroupError(
-                f"restriction target is not contained in the domain "
-                f"({_quoted(b)} escapes)"
-            )
+    if _morphism(k.graph.adj, phi.domain.graph.adj, 0) is None:
+        b = next(b for b in k.basis.elements if not phi.domain.contains(b))
+        raise NotInSubgroupError(
+            f"restriction target is not contained in the domain ({_quoted(b)} escapes)"
+        )
     _require_finite_index(k)
     if aut := phi._aut:
         return _iso(k, None, None, aut)
@@ -428,7 +454,7 @@ def embed_aut(images: Sequence[Word]) -> PartialIso:
     rose = whole_group(rank)
     for w in images:
         _require_rank(w, rank, "image")
-    if from_generators(rank, images) != rose:
+    if not _is_whole_group(rank, images):
         raise InvalidIsoError(
             "images do not generate the whole group, so this is not an automorphism"
         )
@@ -486,7 +512,7 @@ def compute_extension(phi: PartialIso) -> Union[tuple[Word, ...], NoExtension]:
                 word=mapped,
             )
         candidates.append(root)
-    if from_generators(rank, candidates) != whole_group(rank):
+    if not _is_whole_group(rank, candidates):
         return NoExtension(
             reason="the forced candidate images do not generate the whole group"
         )

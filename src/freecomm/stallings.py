@@ -169,6 +169,11 @@ class CoreGraph(Record):
 
     def is_cover(self) -> bool:
         """True when every vertex has a full set of edges both ways."""
+        return self._cover
+
+    @cached_property
+    def _cover(self) -> bool:
+        """is_cover, read once per graph: Subgroup.index asks it on every call."""
         return all(len(letters) == 2 * self.rank for letters in self.adj)
 
 
@@ -441,6 +446,16 @@ def _build_bouquet(rank: int, gens: Iterable[Word], witness: bool) -> _FoldGraph
     return fg
 
 
+def _is_whole_group(rank: int, gens: Iterable[Word]) -> bool:
+    """from_generators(rank, gens) == whole_group(rank) for a rank of at
+    least 1, as every caller has, read off the fold (the same fold, held to
+    the cap with the same message): the words generate the whole group
+    exactly when it is one vertex with all 2·rank halves, a loop under each
+    letter."""
+    fg = _build_bouquet(rank, gens, witness=False)
+    return fg.live == 1 and len(fg.adj[fg.find_pot(0)[0]]) == 2 * rank
+
+
 def express_over(rank: int, gens: Sequence[Word], w: Word) -> Optional[Word]:
     """Express w as a word in the given generators, or None if impossible.
 
@@ -599,12 +614,18 @@ class Subgroup(Record):
                     letters.append(i)
         except KeyError:
             pos = None
-        if pos != 0:
-            _require_rank(w, self.rank, "word")
-            raise NotInSubgroupError(f"{_quoted(w)} is not in the subgroup")
+        self._require_member(w, pos)
         return tuple.__new__(Word, letters)
 
-    def _preimage(self, images: Sequence[Word], k: Subgroup, letters: bool = False) -> Subgroup:
+    def _require_member(self, w: Word, end: Optional[int]) -> None:
+        """Refuse the Word w unless its path from the basepoint ends there
+        (end is 0, and None when the path leaves the graph): for a letter
+        past the rank first, then for membership."""
+        if end != 0:
+            _require_rank(w, self.rank, "word")
+            raise NotInSubgroupError(f"{_quoted(w)} is not in the subgroup")
+
+    def _preimage(self, images: Optional[Sequence], k: Subgroup, letters=False) -> Subgroup:
         """The preimage of a finite-index K under the map sending basis
         element i to images[i-1].  compose, invert_iso and both transfers
         derive their domains here; an infinite index K is refused first
@@ -621,7 +642,9 @@ class Subgroup(Record):
         cover, so K need not hold the images, and when a leads from (v, c)
         to (w, d), -a leads back: that is recorded, not traced.  When K
         holds every image, this subgroup is returned as it is, held to the
-        cap as the walk would hold it.  With letters it is also returned when
+        cap as the walk would hold it, and so it is when images is None: the
+        caller knows K is this subgroup's image, as compose knows it for a
+        map followed by its inverse.  With letters it is also returned when
         the preimage has its index, so that the two share their tree caches
         and a composite's domain is its first map's, as the compose tests
         pin.
@@ -637,7 +660,7 @@ class Subgroup(Record):
                 f"index-{g.num_vertices} domain would exceed the vertex cap ({cap})"
             )
 
-        if all(trace(0, img) == 0 for img in images):
+        if images is None or all(trace(0, img) == 0 for img in images):
             cap = vertex_cap()
             if g.num_vertices > cap:
                 raise _cap_error(too_big(g.num_vertices, cap))
@@ -772,17 +795,23 @@ def conjugate_subgroup(h: Subgroup, g: Word) -> Subgroup:
     return from_generators(h.rank, [conjugate(b, g) for b in h.basis.elements])
 
 
-def _translation(adj, t):
-    """Left translation by the coset at t: the automorphism of the cover
-    with canonical table adj that takes 0 to t, as a list read along the
-    table, or None when there is none (t's stabilizer is not 0's)."""
+def _morphism(src, dst, t):
+    """The label-preserving map of graphs from the canonical table src to
+    the table dst that takes 0 to t, as a list read along src, or None
+    when there is none.  On a cover (dst is src) it is the left translation
+    by the coset at t, which exists when t's stabilizer is 0's; between
+    folded graphs with t = 0 it exists exactly when src's subgroup lies in
+    dst's (Kapovich and Myasnikov, J. Algebra 248, 2002)."""
     image = [t]
-    for u, row in enumerate(adj):
-        to = adj[image[u]]
+    for u, row in enumerate(src):
+        to = dst[image[u]]
         for a, v in row.items():
+            w = to.get(a)
+            if w is None:
+                return None
             if v == len(image):
-                image.append(to[a])
-            elif image[v] != to[a]:
+                image.append(w)
+            elif image[v] != w:
                 return None
     return image
 
@@ -793,7 +822,7 @@ def is_normal(h: Subgroup) -> bool:
     if not h.graph.is_cover():
         raise InfiniteIndexError("normality test needs finite index")
     adj = h.graph.adj
-    return all(_translation(adj, adj[0][l]) is not None for l in range(1, h.rank + 1))
+    return all(_morphism(adj, adj, adj[0][l]) is not None for l in range(1, h.rank + 1))
 
 
 def kernel_mod_p(rank: int, weights: Sequence[int], p: int) -> Subgroup:
@@ -909,7 +938,7 @@ def _block_systems(graph: CoreGraph):
         elif others:
             if shifts is None:  # the translations by the generators, if H is normal, and
                 # the letter from v back along the tree edge that finds it: the first half into v
-                shifts = [_translation(adj, s[0]) for s in perms]
+                shifts = [_morphism(adj, adj, s[0]) for s in perms]
                 back = {v: -a for row in reversed(adj) for a, v in reversed(row.items())}
             if None not in shifts:
                 block = [x for x, c in enumerate(labels) if not c]

@@ -23,12 +23,15 @@ def validate_internal_isos():
     A map built without a codomain folds it when it is first read, and a
     map that holds an automorphism A builds its images when they are
     first read.  The check builds its own copies, with the fold it took
-    when the session began, so the map's caches stay empty and a spy set
-    later on from_generators sees no codomain fold for the check.  When
-    that fold, its rank check or the images raise, the map is left
-    unchecked: the same error is the one the first read raises.  For a
-    map that holds A, compute_extension of the rebuilt map, which holds
-    nothing, must find A by its roots and basis comparison.
+    when the session began, on its own copy of the domain, so the caches
+    of the map and of its domain stay empty and a spy set later on
+    from_generators sees no codomain fold for the check.  It runs under
+    the default vertex cap, or the test's when that is larger, so that a
+    low cap a test sets for the library does not refuse the check's own
+    folds.  When that fold, its rank check or the images raise, the map
+    is left unchecked: the same error is the one the first read raises.
+    For a map that holds A, compute_extension of the rebuilt map, which
+    holds nothing, must find A by its roots and basis comparison.
     """
     built = commensurator._iso
     fold = stallings.from_generators
@@ -37,15 +40,25 @@ def validate_internal_isos():
     def checked(domain, images, codomain=None, aut=None):
         phi = built(domain, images, codomain, aut)
         try:
+            cap = max(stallings.vertex_cap(), stallings.DEFAULT_VERTEX_CAP)
+        except FreecommError:
+            return phi
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv(stallings.VERTEX_CAP_ENV, str(cap))
+            _check_iso(phi, stallings.Subgroup(domain.graph), images, codomain, aut)
+        return phi
+
+    def _check_iso(phi, domain, images, codomain, aut):
+        try:
             if images is None:
                 images = tuple(domain._hom_on_basis(aut))
             if codomain is None:
                 codomain = fold(domain.rank, images)
                 commensurator._require_equal_rank(len(images), codomain)
         except FreecommError:
-            return phi
+            return
         try:
-            rebuilt = commensurator.make_iso(phi.domain, codomain, images)
+            rebuilt = commensurator.make_iso(domain, codomain, images)
         except FreecommError as exc:
             raise AssertionError(f"_iso accepted what make_iso rejects: {exc}") from exc
         assert (rebuilt.domain, rebuilt.images) == (phi.domain, vars(phi).get("images", images)), (
@@ -56,7 +69,6 @@ def validate_internal_isos():
             assert isinstance(error, FreecommError) or found == aut, (
                 "the held automorphism is not the one compute_extension finds"
             )
-        return phi
 
     commensurator._iso = checked
     yield

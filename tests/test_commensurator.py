@@ -48,6 +48,7 @@ from freecomm import (
     words,
 )
 from freecomm import commensurator
+from freecomm.words import _quoted
 from support import (
     apply_by_expression,
     compose_images,
@@ -192,7 +193,9 @@ def test_a_held_map_builds_its_images_only_for_a_word_that_needs_them(monkeypatc
     # 2, and aaa -> (ab)^3 is refused at its second ab, where its twin
     # refuses its one 6-letter image.  The images are built on the first
     # read, whose longest piece is that image; below it every read of them
-    # is refused, and nothing is cached.
+    # is refused, and they are not cached.  The codomain is the domain
+    # pulled back through A⁻¹, whose images have two letters, so hash and
+    # repr, which read it first, cache it with no image.
     phi = restrict(embed_aut([parse_word("ab"), parse_word("a")]), kernel_mod_p(2, (1, 0), 3))
     twin = keeping_images(restrict(embed_aut([parse_word("ab"), parse_word("a")]), phi.domain))
     monkeypatch.setattr(words, "LETTER_LIMIT", 2)
@@ -209,7 +212,7 @@ def test_a_held_map_builds_its_images_only_for_a_word_that_needs_them(monkeypatc
     for read in (lambda: hash(phi), lambda: repr(phi)):
         with pytest.raises(WorkLimitError, match=refusal):
             read()
-    assert set(vars(phi)) == {"domain", "_aut", "_inverses"}
+    assert set(vars(phi)) == {"domain", "_aut", "_inverses", "codomain"}
     monkeypatch.undo()
     assert hash(phi) == hash(twin) == hash(make_iso(phi.domain, phi.codomain, phi.images))
 
@@ -317,14 +320,14 @@ def test_make_iso_of_the_kernel_swap_folds_one_letter_per_image(monkeypatch):
     i, j = basis.index(power(Word((1,)), p)), basis.index(Word((2,)))
     images[i], images[j] = images[j], images[i]
     folded = []
-    fold = commensurator.from_generators
+    fold = commensurator._is_whole_group
 
     def spied(rank, gens):
         gens = list(gens)
         folded.append((rank, gens))
         return fold(rank, gens)
 
-    monkeypatch.setattr(commensurator, "from_generators", spied)
+    monkeypatch.setattr(commensurator, "_is_whole_group", spied)
     swap = make_iso(h, h, images)
     assert swap.images == tuple(images)
     assert [(rank, len(gens)) for rank, gens in folded] == [(p + 1, p + 1)]
@@ -554,16 +557,46 @@ def test_compute_extension_folds_only_its_candidates(monkeypatch):
     held = restrict(sigma, k)
     assert "codomain" not in vars(phi) and "_aut" not in vars(phi)
     folds = []
+    fold = commensurator._is_whole_group
 
     def spied(rank, gens):
         folds.append((rank, list(gens)))
-        return from_generators(rank, gens)
+        return fold(rank, gens)
 
-    monkeypatch.setattr(commensurator, "from_generators", spied)
+    monkeypatch.setattr(commensurator, "_is_whole_group", spied)
     assert compute_extension(phi) == sigma.images
     assert folds == [(2, list(sigma.images))]
     assert compute_extension(held) == sigma.images and len(folds) == 1
     assert "codomain" not in vars(phi) and not {"codomain", "images"} & set(vars(held))
+
+
+@pytest.mark.parametrize("rank", (2, 3))
+def test_restrict_names_the_first_basis_element_that_escapes(rank):
+    # restrict decides K <= domain by a map of graphs, and builds K's basis
+    # only to name the element that escapes; the reference tests the basis
+    # element by element, and names the first that escapes
+    rng = random.Random(rank)
+    refused = 0
+    for _ in range(25):
+        phi = random_restriction_iso(rng, rank)
+        k = random_small_domain(rng, rank)
+        if rng.random() < 0.3:
+            k = intersect(k, phi.domain)
+        escaping = [b for b in k.basis.elements if not phi.domain.contains(b)]
+        if escaping:
+            refused += 1
+            message = f"({_quoted(escaping[0])} escapes)"
+            message = f"restriction target is not contained in the domain {message}"
+            assert outcome(restrict, phi, k) == (NotInSubgroupError, message)
+        else:
+            assert restrict(phi, k).domain is k
+    assert 5 < refused < 25
+    phi = identity_iso(kernel_mod_p(2, (0, 1), 2))
+    with pytest.raises(
+        NotInSubgroupError,
+        match=r"^restriction target is not contained in the domain \('b' escapes\)$",
+    ):
+        restrict(phi, whole_group(2))
 
 
 def test_compute_extension_obstruction():

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from freecomm import (
     IndexCapError,
     InvalidIsoError,
+    NotInSubgroupError,
     NoExtension,
     PartialIso,
     Subgroup,
@@ -136,7 +137,8 @@ def seed_7_chain():
 def test_an_extending_map_is_inverted_without_folding_its_images(monkeypatch):
     # the witness fold of the 1,204 image letters passes a cap of 60 with 63
     # live vertices; the inverse through the extension builds the codomain,
-    # of index 60, and no fold of phi's images, and leaves its codomain unread,
+    # of index 60, by a pull-back that a cap of 59 refuses, and no fold of
+    # phi's images, and leaves that codomain on phi as the inverse's domain,
     # both when phi holds the automorphism and when compute_extension finds it
     ref = invert_iso_by_make_iso(seed_7_chain())
     held = seed_7_chain()
@@ -151,18 +153,23 @@ def test_an_extending_map_is_inverted_without_folding_its_images(monkeypatch):
     monkeypatch.setattr(stallings, "_build_bouquet", spied)
     for phi in maps:
         folded.clear()  # the two maps share their image words, which the reference folds
+        monkeypatch.setenv(VERTEX_CAP_ENV, "59")
+        with pytest.raises(IndexCapError, match=r"^pull-back: the preimage of an index-60 subgroup "
+                           r"in an index-1 domain would exceed the vertex cap \(59\)"):
+            invert_iso(phi)
         monkeypatch.setenv(VERTEX_CAP_ENV, "60")
-        assert_same_iso(invert_iso(phi), ref)
-        assert "codomain" not in vars(phi) and not set(folded) & set(map(id, phi.images))
+        inverse = invert_iso(phi)
+        assert_same_iso(inverse, ref)
+        if "_aut" in vars(phi):  # it keeps the pull-back, the inverse's domain
+            assert vars(phi)["codomain"] is inverse.domain
+        else:  # the twin leaves its codomain, the fold of its images, unread
+            assert "codomain" not in vars(phi)
+        assert not set(folded) & set(map(id, phi.images))
         assert outcome(invert_iso_by_make_iso, phi) == (
             IndexCapError,
             "witness_expresser: the folded graph would exceed the vertex cap (60) with 63 live "
             f"vertices (68 allocated); raise {VERTEX_CAP_ENV} to allow larger graphs",
         )
-        monkeypatch.setenv(VERTEX_CAP_ENV, "59")
-        with pytest.raises(IndexCapError, match=r"^pull-back: the preimage of an index-60 subgroup "
-                           r"in an index-1 domain would exceed the vertex cap \(59\)"):
-            invert_iso(phi)
 
 
 @pytest.mark.parametrize(
@@ -272,6 +279,37 @@ def test_maps_that_hold_an_automorphism_match_their_make_iso_twins(seed):
             assert apply(phi, w) == apply(ref, w)
 
 
+def test_held_maps_build_no_basis_tree_or_walk_they_would_discard(monkeypatch):
+    # restrict of a map that holds A tests K <= domain by a map of graphs
+    # and builds neither K's basis nor its spanning tree; apply traces a
+    # word in the domain's graph and builds no tree; and phi followed by
+    # its inverse, whose domain invert_iso leaves on phi as its codomain,
+    # is taken on phi's domain with no pull-back walk
+    rng = random.Random(3)
+    phi = compose_many([random_tiny_iso(rng, 2) for _ in range(4)])
+    k = intersect(phi.domain, kernel_mod_p(2, (1, 1), 2))
+    cut = restrict(phi, k)
+    assert cut.domain is k and not {"basis", "_tree"} & set(vars(k))
+    for w in Subgroup(k.graph).basis.elements:  # a copy's basis, so k builds none
+        assert apply(cut, w) == apply_hom(phi._aut, w)
+    with pytest.raises(NotInSubgroupError, match=r"^'a' is not in the subgroup$"):
+        apply(cut, parse_word("a"))
+    assert not {"basis", "_tree", "images"} & (set(vars(k)) | set(vars(cut)))
+    inverse = invert_iso(phi)
+    assert vars(phi)["codomain"] is inverse.domain
+    walks = []
+    component = stallings._component
+
+    def spied(*args):
+        walks.append(args)
+        return component(*args)
+
+    monkeypatch.setattr(stallings, "_component", spied)
+    round_trip = compose(phi, inverse)
+    assert walks == [] and round_trip.domain is round_trip.codomain is phi.domain
+    assert is_identity_class(round_trip)
+
+
 def chain_pipeline(links):
     """iso-chain's calls on a chain, and the documents of its product and inverse."""
     phi = compose_many(links)
@@ -289,17 +327,29 @@ def pipeline_outcomes(seed):
     )
 
 
-@pytest.mark.parametrize("seed, cap", [(1, 9), (6, 40), (10, 26), (5, 13), (11, 63)])
-def test_maps_that_hold_an_automorphism_meet_the_cap_where_their_twins_do(monkeypatch, seed, cap):
-    # the least cap at which the pipeline runs, on both chains: the
-    # pull-backs walk as many states on either path, and the folds fold the
-    # same words, so below it both are refused with the same message
-    monkeypatch.setenv(VERTEX_CAP_ENV, str(cap - 1))
-    got, ref = pipeline_outcomes(seed)
-    assert got == ref and got[0] is IndexCapError
-    monkeypatch.setenv(VERTEX_CAP_ENV, str(cap))
-    got, ref = pipeline_outcomes(seed)
-    assert got == ref and got[0] is tuple
+@pytest.mark.parametrize(
+    "seed, ours, theirs", [(1, 6, 9), (6, 13, 40), (10, 18, 26), (5, 13, 13), (11, 63, 63)]
+)
+def test_maps_that_hold_an_automorphism_meet_the_cap_where_their_twins_do(
+    monkeypatch, seed, ours, theirs
+):
+    # the least cap at which the pipeline runs on the held chain (ours) and
+    # on its twins, which keep their images (theirs), each found by trying
+    # every cap from 1 on.  A held product reads its codomain as the pull-back that
+    # invert_iso leaves on it, where a twin folds its images, and composed
+    # with its inverse it walks no pull-back.  Chains mixed with a map that
+    # extends to none (seeds 5 and 11) take the general path.  Below both
+    # caps both are refused, a held chain of seed 6 by the witness fold that
+    # inverts A, at as many live vertices as its twin's fold of A's roots.
+    assert ours <= theirs
+    for cap in sorted({ours - 1, ours, theirs - 1, theirs}):
+        monkeypatch.setenv(VERTEX_CAP_ENV, str(cap))
+        got, ref = pipeline_outcomes(seed)
+        assert (got[0], ref[0]) == (
+            tuple if cap >= ours else IndexCapError,
+            tuple if cap >= theirs else IndexCapError,
+        )
+        assert got == ref or cap < theirs
 
 
 def rank_two_chain(n, kind):
@@ -597,7 +647,9 @@ def test_a_chain_folds_no_codomain_until_it_is_read(monkeypatch):
     # compose_many of eight links, an onto product, a restriction and a
     # transfer build their maps with no fold; a codomain fold is told by
     # its argument, the map's own images, which the check of the session
-    # fixture never hands to the module's from_generators
+    # fixture never hands to the module's from_generators.  The first three
+    # hold their automorphisms, and read their codomains by pull-back with
+    # no fold at all; the transfer holds none and folds its images
     rng = random.Random(24)
     links = [random_tiny_iso(rng, 2) for _ in range(8)]
     aut = embed_aut(random_aut_images(rng, 2))
@@ -624,11 +676,12 @@ def test_a_chain_folds_no_codomain_until_it_is_read(monkeypatch):
 
     assert len(built) == 10 and codomain_folds() == []
     assert onto.domain.index() == links[0].domain.index() > 1
-    for phi in (chain, onto, cut, moved):
+    for phi, held in ((chain, True), (onto, True), (cut, True), (moved, False)):
+        assert ("_aut" in vars(phi)) == held
         before = len(folded)
         codomain = phi.codomain
-        assert len(folded) == before + 1 and folded[-1] is phi.images
-        assert phi.codomain is codomain and len(folded) == before + 1
+        assert phi.codomain is codomain and len(folded) == before + (not held)
+        assert held or folded[-1] is phi.images
         assert codomain == fold(phi.rank, phi.images)
 
 
@@ -669,24 +722,28 @@ def test_a_lazy_codomain_meets_the_cap_where_it_is_read(monkeypatch):
     # σ⁵ (a → ab, b → a, five times) after the identity of an index-5
     # kernel: the product keeps the kernel as its domain, under the cap of
     # 20, but the fold of its images passes 20 live vertices on the way to
-    # its 5 and raises, with the message compose raised when it folded
+    # its 5 and raises, with the message compose raised when it folded.
+    # The restriction of σ⁵ to the kernel holds it and pulls the kernel back
+    # through σ⁻⁵, which the witness fold of σ⁵'s 21 letters, 13 live
+    # vertices, inverts: its codomain is read from a cap of 13 on
     images = [parse_word("a"), parse_word("b")]
     for _ in range(5):
         images = [concat(images[0], images[1]), images[0]]
     k = kernel_mod_p(2, (1, 0), 5)
     alpha, sigma = identity_iso(k), embed_aut(images)
-    monkeypatch.setenv("FREECOMM_INDEX_CAP", "20")
     message = (
-        r"^from_generators: the folded graph would exceed the vertex cap \(20\) with 29 live "
-        r"vertices \(29 allocated\); raise FREECOMM_INDEX_CAP to allow larger graphs$"
+        r"^{}: the folded graph would exceed the vertex cap \({}\) with {} live "
+        r"vertices \({} allocated\); raise FREECOMM_INDEX_CAP to allow larger graphs$"
     )
-    for phi in (compose(alpha, sigma), restrict(sigma, k)):
+    for phi, op, cap, live in ((compose(alpha, sigma), "from_generators", 20, 29),
+                               (restrict(sigma, k), "witness_expresser", 12, 13)):
         assert phi.domain == k
+        monkeypatch.setenv("FREECOMM_INDEX_CAP", str(cap))
         for _ in range(2):
-            with pytest.raises(IndexCapError, match=message):
+            with pytest.raises(IndexCapError, match=message.format(op, cap, live, live)):
                 phi.codomain
-    monkeypatch.setenv("FREECOMM_INDEX_CAP", "29")
-    assert compose(alpha, sigma).codomain == restrict(sigma, k).codomain == k
+        monkeypatch.setenv("FREECOMM_INDEX_CAP", str(live))
+        assert phi.codomain == k
 
 
 def test_builders_reject_infinite_index_as_make_iso_does():

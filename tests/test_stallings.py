@@ -47,7 +47,8 @@ from freecomm import (
     witness_expresser,
     word_to_text,
 )
-from support import random_cover, random_word
+from freecomm import stallings
+from support import random_aut_images, random_cover, random_word
 
 words2 = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=10).map(Word)
 
@@ -169,6 +170,73 @@ def test_membership_conjunction(seed, w):
     m = intersect(h, k)
     assert m.contains(w) == (h.contains(w) and k.contains(w))
     assert join(h, k).contains(w) or not h.contains(w)
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6), st.integers(min_value=1, max_value=3))
+@settings(deadline=None, max_examples=60)
+def test_the_whole_group_test_reads_the_fold_as_the_comparison_does(seed, rank):
+    # _is_whole_group answers from the fold; the reference folds the same
+    # words into a core graph and compares it with the rose.  A Nielsen
+    # image of the generators generates the whole group, and so it does with
+    # empty and redundant words added, or conjugated by a word, whose hair
+    # folds away; without a generator, with one squared, or as a cover's
+    # basis it may not
+    rng = random.Random(seed)
+    images = list(random_aut_images(rng, rank))
+    g = random_word(rng, rank)
+    sets = [
+        images,
+        images + [EPSILON, random_word(rng, rank), EPSILON],
+        [conjugate(w, g) for w in images],
+        [EPSILON] + [conjugate(w, g) for w in images[1:]],
+        images[1:],
+        [power(images[0], 2)] + images[1:],
+        list(random_cover(rng, rank, rng.randrange(1, 5)).basis.elements),
+        [random_word(rng, rank) for _ in range(rng.randrange(4))],
+        [EPSILON],
+        [],
+    ]
+    for gens in sets:
+        expected = from_generators(rank, gens) == whole_group(rank)
+        assert stallings._is_whole_group(rank, gens) == expected, gens
+
+
+def test_the_whole_group_test_meets_the_cap_as_the_fold_does(monkeypatch):
+    # a^30 grows a 30-vertex loop, which a folds to one vertex after
+    gens = [power(parse_word("a"), 30), parse_word("a"), parse_word("b")]
+    monkeypatch.setenv("FREECOMM_INDEX_CAP", "29")
+    with pytest.raises(IndexCapError) as fold:
+        from_generators(2, gens)
+    with pytest.raises(IndexCapError) as test:
+        stallings._is_whole_group(2, gens)
+    assert str(test.value) == str(fold.value)
+    monkeypatch.setenv("FREECOMM_INDEX_CAP", "30")
+    assert stallings._is_whole_group(2, gens)
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6))
+@settings(deadline=None, max_examples=60)
+def test_containment_by_a_map_of_graphs_matches_the_basis(seed):
+    # K <= H exactly when K's graph maps into H's from basepoint to
+    # basepoint (stallings._morphism); the reference tests K's basis
+    # element by element.  Pairs of random subgroups of finite or infinite
+    # index, their intersection and their join, in both directions
+    rng = random.Random(seed)
+    rank = rng.choice((1, 2, 3))
+
+    def subgroup():
+        if rng.random() < 0.5:
+            return random_cover(rng, rank, rng.randrange(1, 7))
+        return from_generators(rank, [random_word(rng, rank) for _ in range(rng.randrange(4))])
+
+    h, g = subgroup(), subgroup()
+    seen = set()
+    for a, b in ((h, g), (intersect(h, g), h), (intersect(h, g), g), (h, join(h, g))):
+        for k, top in ((a, b), (b, a)):
+            contained = all(top.contains(w) for w in k.basis.elements)
+            assert (stallings._morphism(k.graph.adj, top.graph.adj, 0) is not None) == contained
+            seen.add(contained)
+    assert seen == {True, False} or h == g
 
 
 def test_conjugate_and_normality_examples():
