@@ -238,20 +238,19 @@ def identity_iso(h: Subgroup) -> PartialIso:
 def apply(phi: PartialIso, w: Word) -> Word:
     """Image of w (which must lie in the domain) under the map.
 
-    w is checked as a Word and refused for a letter past the rank, then
-    for membership (Subgroup._require_member).  A map that holds an
-    automorphism A traces w in the domain's graph and maps w itself
-    through A's generator images; it builds no basis image and no spanning
-    tree.  Any other map maps w's basis expression
-    (Subgroup.express_in_basis) through its images.  Either way the words
-    are substituted as apply_hom substitutes them, and phi keeps the
-    inverses it writes, for its later calls.
+    w's basis expression (Subgroup.express_in_basis, which checks w as a
+    Word and refuses it for a letter past the rank, then for membership)
+    is written first, except by a map that holds an automorphism A: it
+    traces w in the domain's graph, writes the expression only to refuse
+    w, and maps w itself through A's generator images, with no basis
+    image and no spanning tree.  Any other map maps the expression
+    through its images.  Either way the words are substituted as
+    apply_hom substitutes them, and phi keeps the inverses it writes, for
+    its later calls.
     """
-    if aut := phi._aut:
-        w = Word(w)
-        phi.domain._require_member(w, phi.domain.graph.trace(0, w))
+    if (aut := phi._aut) and phi.domain.graph.trace(0, w := Word(w)) == 0:
         return _substitute(aut, phi._inverses, w)
-    expr = phi.domain.express_in_basis(w)
+    expr = phi.domain.express_in_basis(w)  # which refuses w, if a held map's trace did
     return _substitute(phi.images, phi._inverses, expr) if expr else expr
 
 

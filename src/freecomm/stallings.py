@@ -614,16 +614,10 @@ class Subgroup(Record):
                     letters.append(i)
         except KeyError:
             pos = None
-        self._require_member(w, pos)
-        return tuple.__new__(Word, letters)
-
-    def _require_member(self, w: Word, end: Optional[int]) -> None:
-        """Refuse the Word w unless its path from the basepoint ends there
-        (end is 0, and None when the path leaves the graph): for a letter
-        past the rank first, then for membership."""
-        if end != 0:
+        if pos != 0:
             _require_rank(w, self.rank, "word")
             raise NotInSubgroupError(f"{_quoted(w)} is not in the subgroup")
+        return tuple.__new__(Word, letters)
 
     def _preimage(self, images: Optional[Sequence], k: Subgroup, letters=False) -> Subgroup:
         """The preimage of a finite-index K under the map sending basis

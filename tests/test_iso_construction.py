@@ -292,9 +292,9 @@ def test_held_maps_build_no_basis_tree_or_walk_they_would_discard(monkeypatch):
     assert cut.domain is k and not {"basis", "_tree"} & set(vars(k))
     for w in Subgroup(k.graph).basis.elements:  # a copy's basis, so k builds none
         assert apply(cut, w) == apply_hom(phi._aut, w)
-    with pytest.raises(NotInSubgroupError, match=r"^'a' is not in the subgroup$"):
-        apply(cut, parse_word("a"))
     assert not {"basis", "_tree", "images"} & (set(vars(k)) | set(vars(cut)))
+    with pytest.raises(NotInSubgroupError, match=r"^'a' is not in the subgroup$"):
+        apply(cut, parse_word("a"))  # refused by the basis expression, which builds the tree
     inverse = invert_iso(phi)
     assert vars(phi)["codomain"] is inverse.domain
     walks = []
@@ -327,20 +327,32 @@ def pipeline_outcomes(seed):
     )
 
 
+def fold_refusal(op, cap, live, allocated):
+    """The outcome of a fold that meets the vertex cap."""
+    return IndexCapError, (
+        f"{op}: the folded graph would exceed the vertex cap ({cap}) with {live} live vertices "
+        f"({allocated} allocated); raise {VERTEX_CAP_ENV} to allow larger graphs"
+    )
+
+
 @pytest.mark.parametrize(
-    "seed, ours, theirs", [(1, 6, 9), (6, 13, 40), (10, 18, 26), (5, 13, 13), (11, 63, 63)]
+    "seed, ours, theirs, allocated",
+    [(1, 6, 9, 11), (6, 13, 40, 40), (10, 18, 26, 36), (5, 13, 13, None), (11, 63, 63, None)],
 )
 def test_maps_that_hold_an_automorphism_meet_the_cap_where_their_twins_do(
-    monkeypatch, seed, ours, theirs
+    monkeypatch, seed, ours, theirs, allocated
 ):
     # the least cap at which the pipeline runs on the held chain (ours) and
     # on its twins, which keep their images (theirs), each found by trying
-    # every cap from 1 on.  A held product reads its codomain as the pull-back that
-    # invert_iso leaves on it, where a twin folds its images, and composed
-    # with its inverse it walks no pull-back.  Chains mixed with a map that
-    # extends to none (seeds 5 and 11) take the general path.  Below both
-    # caps both are refused, a held chain of seed 6 by the witness fold that
-    # inverts A, at as many live vertices as its twin's fold of A's roots.
+    # every cap from 1 on.  A held product reads its codomain as the
+    # pull-back that invert_iso leaves on it, where a twin folds its
+    # images, and composed with its inverse it walks no pull-back; just
+    # below theirs, a twin is refused by the fold of its images with
+    # theirs live vertices, as before.  Chains mixed with a map that extends
+    # to none (seeds 5 and 11) take the general path.  Below both caps both
+    # are refused with the same message, but for a held chain of seed 6:
+    # the witness fold that inverts A meets the cap at as many live
+    # vertices as its twin's fold of the images.
     assert ours <= theirs
     for cap in sorted({ours - 1, ours, theirs - 1, theirs}):
         monkeypatch.setenv(VERTEX_CAP_ENV, str(cap))
@@ -349,7 +361,15 @@ def test_maps_that_hold_an_automorphism_meet_the_cap_where_their_twins_do(
             tuple if cap >= ours else IndexCapError,
             tuple if cap >= theirs else IndexCapError,
         )
-        assert got == ref or cap < theirs
+        if cap >= theirs or cap < ours and seed != 6:
+            assert got == ref
+        if cap == theirs - 1 >= ours:
+            assert ref == fold_refusal("from_generators", cap, theirs, allocated)
+        if cap < ours and seed == 6:
+            assert (got, ref) == (
+                fold_refusal("witness_expresser", cap, ours, ours),
+                fold_refusal("from_generators", cap, ours, ours),
+            )
 
 
 def rank_two_chain(n, kind):
